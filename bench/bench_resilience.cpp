@@ -76,7 +76,6 @@ server::ServiceOptions OverloadServiceOptions() {
   // the open-loop generator on the same machine can offer a true 3x while
   // refusals stay a small fraction of the box (shedding only protects
   // goodput when saying no is much cheaper than saying yes).
-  options.governance.max_concurrent_total = 2;
   options.admission.capacity = 1;
   options.admission.max_queue = 24;
   options.admission.max_wait_ms = 100;
@@ -329,7 +328,6 @@ BENCHMARK(BM_OverloadGoodput)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 void BM_ShedFastPath(benchmark::State& state) {
   server::ServiceOptions options;
-  options.governance.max_concurrent_total = 1;
   options.admission.capacity = 1;
   options.admission.max_queue = 1;
   // The parked waiter below must out-wait the whole measurement.

@@ -7,15 +7,17 @@
 
 namespace regal {
 
+// Both operators look up each candidate's tree parent; a region outside
+// the instance (Find() == -1) has none.
 RegionSet DirectIncluding(const Instance& instance, const RegionSet& r,
                           const RegionSet& s) {
+  const RegionTree& tree = instance.Tree();
   std::vector<Region> out;
   for (const Region& x : s) {
-    int idx = instance.TreeFind(x);
-    if (idx < 0) continue;  // Not an instance region; cannot have a parent.
-    int p = instance.TreeParent(static_cast<size_t>(idx));
-    if (p >= 0 && r.Member(instance.TreeRegion(static_cast<size_t>(p)))) {
-      out.push_back(instance.TreeRegion(static_cast<size_t>(p)));
+    const int idx = tree.Find(x);
+    const int p = idx < 0 ? -1 : tree.parents[static_cast<size_t>(idx)];
+    if (p >= 0 && r.Member(tree.regions[static_cast<size_t>(p)])) {
+      out.push_back(tree.regions[static_cast<size_t>(p)]);
     }
   }
   return RegionSet::FromUnsorted(std::move(out));
@@ -23,12 +25,12 @@ RegionSet DirectIncluding(const Instance& instance, const RegionSet& r,
 
 RegionSet DirectIncluded(const Instance& instance, const RegionSet& r,
                          const RegionSet& s) {
+  const RegionTree& tree = instance.Tree();
   std::vector<Region> out;
   for (const Region& x : r) {
-    int idx = instance.TreeFind(x);
-    if (idx < 0) continue;
-    int p = instance.TreeParent(static_cast<size_t>(idx));
-    if (p >= 0 && s.Member(instance.TreeRegion(static_cast<size_t>(p)))) {
+    const int idx = tree.Find(x);
+    const int p = idx < 0 ? -1 : tree.parents[static_cast<size_t>(idx)];
+    if (p >= 0 && s.Member(tree.regions[static_cast<size_t>(p)])) {
       out.push_back(x);
     }
   }

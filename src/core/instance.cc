@@ -30,7 +30,7 @@ Status Instance::AddRegionSet(const std::string& name, RegionSet regions) {
   name_to_id_[name] = names_.size();
   names_.push_back(name);
   sets_.push_back(std::move(regions));
-  tree_built_ = false;
+  InvalidateTree();
   ++epoch_;
   return Status::OK();
 }
@@ -44,7 +44,7 @@ void Instance::SetRegionSet(const std::string& name, RegionSet regions) {
   } else {
     sets_[it->second] = std::move(regions);
   }
-  tree_built_ = false;
+  InvalidateTree();
   ++epoch_;
 }
 
@@ -61,8 +61,7 @@ bool Instance::Has(const std::string& name) const {
 }
 
 RegionSet Instance::AllRegions() const {
-  EnsureTree();
-  return RegionSet::FromSortedUnique(tree_regions_);
+  return RegionSet::FromSortedUnique(Tree().regions);
 }
 
 size_t Instance::NumRegions() const {
@@ -130,8 +129,16 @@ Status Instance::Validate() const {
   return Status::OK();
 }
 
-void Instance::EnsureTree() const {
-  if (tree_built_) return;
+const RegionTree& Instance::Tree() const {
+  // Queries share the catalog lock, so the first operators that need the
+  // tree can arrive together: call_once builds it exactly once and makes
+  // the finished tree visible to every caller.
+  TreeSlot& slot = *tree_slot_;
+  std::call_once(slot.once, [&] { slot.tree = BuildTree(); });
+  return slot.tree;
+}
+
+RegionTree Instance::BuildTree() const {
   struct Entry {
     Region region;
     int name_id;
@@ -147,94 +154,69 @@ void Instance::EnsureTree() const {
     return RegionDocumentOrder()(a.region, b.region);
   });
   const size_t n = entries.size();
-  tree_regions_.resize(n);
-  tree_name_ids_.resize(n);
-  tree_parents_.assign(n, -1);
-  tree_depth_ = 0;
+  RegionTree tree;
+  tree.regions.resize(n);
+  tree.name_ids.resize(n);
+  tree.parents.assign(n, -1);
   std::vector<int> open;  // Stack of indices of currently-open ancestors.
   for (size_t i = 0; i < n; ++i) {
-    tree_regions_[i] = entries[i].region;
-    tree_name_ids_[i] = entries[i].name_id;
+    tree.regions[i] = entries[i].region;
+    tree.name_ids[i] = entries[i].name_id;
     while (!open.empty() &&
-           tree_regions_[static_cast<size_t>(open.back())].right <
+           tree.regions[static_cast<size_t>(open.back())].right <
                entries[i].region.left) {
       open.pop_back();
     }
-    if (!open.empty()) tree_parents_[i] = open.back();
+    if (!open.empty()) tree.parents[i] = open.back();
     open.push_back(static_cast<int>(i));
-    tree_depth_ = std::max(tree_depth_, static_cast<int>(open.size()));
+    tree.depth = std::max(tree.depth, static_cast<int>(open.size()));
   }
-  tree_built_ = true;
+  return tree;
 }
 
-size_t Instance::TreeSize() const {
-  EnsureTree();
-  return tree_regions_.size();
-}
-
-const Region& Instance::TreeRegion(size_t i) const {
-  EnsureTree();
-  return tree_regions_[i];
-}
-
-int Instance::TreeNameId(size_t i) const {
-  EnsureTree();
-  return tree_name_ids_[i];
-}
-
-int Instance::TreeParent(size_t i) const {
-  EnsureTree();
-  return tree_parents_[i];
-}
-
-int Instance::TreeFind(const Region& r) const {
-  EnsureTree();
-  auto it = std::lower_bound(tree_regions_.begin(), tree_regions_.end(), r,
+int RegionTree::Find(const Region& r) const {
+  auto it = std::lower_bound(regions.begin(), regions.end(), r,
                              RegionDocumentOrder());
-  if (it == tree_regions_.end() || !(*it == r)) return -1;
-  return static_cast<int>(it - tree_regions_.begin());
-}
-
-int Instance::TreeDepth() const {
-  EnsureTree();
-  return tree_depth_;
+  if (it == regions.end() || !(*it == r)) return -1;
+  return static_cast<int>(it - regions.begin());
 }
 
 Digraph Instance::DeriveRig() const {
-  EnsureTree();
+  const RegionTree& tree = Tree();
   Digraph g;
   for (const std::string& name : names_) g.AddNode(name);
-  for (size_t i = 0; i < tree_regions_.size(); ++i) {
-    int p = tree_parents_[i];
+  for (size_t i = 0; i < tree.regions.size(); ++i) {
+    int p = tree.parents[i];
     if (p >= 0) {
-      g.AddEdge(static_cast<Digraph::NodeId>(tree_name_ids_[static_cast<size_t>(p)]),
-                static_cast<Digraph::NodeId>(tree_name_ids_[i]));
+      g.AddEdge(static_cast<Digraph::NodeId>(tree.name_ids[static_cast<size_t>(p)]),
+                static_cast<Digraph::NodeId>(tree.name_ids[i]));
     }
   }
   return g;
 }
 
 Digraph Instance::DeriveRog() const {
-  EnsureTree();
+  const RegionTree& tree = Tree();
+  const std::vector<Region>& regions = tree.regions;
   Digraph g;
   for (const std::string& name : names_) g.AddNode(name);
   // Regions sorted by right endpoint, for "everything ending before x".
-  std::vector<size_t> by_right(tree_regions_.size());
+  std::vector<size_t> by_right(regions.size());
   for (size_t i = 0; i < by_right.size(); ++i) by_right[i] = i;
   std::sort(by_right.begin(), by_right.end(), [&](size_t a, size_t b) {
-    return tree_regions_[a].right < tree_regions_[b].right;
+    return regions[a].right < regions[b].right;
   });
   std::vector<Offset> rights_sorted;
   std::vector<Offset> prefix_max_left;  // Max left among by_right[0..i].
   rights_sorted.reserve(by_right.size());
   Offset running = -1;
   for (size_t i : by_right) {
-    rights_sorted.push_back(tree_regions_[i].right);
-    running = std::max(running, tree_regions_[i].left);
+    rights_sorted.push_back(regions[i].right);
+    running = std::max(running, regions[i].left);
     prefix_max_left.push_back(running);
   }
-  for (size_t s = 0; s < tree_regions_.size(); ++s) {
-    const Region& rs = tree_regions_[s];
+  for (size_t s = 0; s < regions.size(); ++s) {
+    const Region& rs = regions[s];
     // B = regions ending strictly before left(rs); r directly precedes rs
     // iff r in B and right(r) >= L* where L* = max left endpoint in B
     // (otherwise some region lies wholly between r and rs).
@@ -246,8 +228,8 @@ Digraph Instance::DeriveRog() const {
     auto lo = std::lower_bound(rights_sorted.begin(), hi, l_star);
     for (auto it = lo; it != hi; ++it) {
       size_t r = by_right[static_cast<size_t>(it - rights_sorted.begin())];
-      g.AddEdge(static_cast<Digraph::NodeId>(tree_name_ids_[r]),
-                static_cast<Digraph::NodeId>(tree_name_ids_[s]));
+      g.AddEdge(static_cast<Digraph::NodeId>(tree.name_ids[r]),
+                static_cast<Digraph::NodeId>(tree.name_ids[s]));
     }
   }
   return g;

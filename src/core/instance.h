@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,23 @@
 #include "util/status.h"
 
 namespace regal {
+
+/// The global region tree of an instance: every region in document order,
+/// with its name id and its parent by direct inclusion. Immutable once
+/// built, so concurrent readers index it without synchronization.
+struct RegionTree {
+  std::vector<Region> regions;
+  /// Name id (index into Instance::names()) of each region.
+  std::vector<int> name_ids;
+  /// Parent index of each region, or -1 for roots. The parent is the
+  /// unique region directly including it (Definition of Section 2.2).
+  std::vector<int> parents;
+  /// Maximum nesting depth (a single root counts 1; empty instance is 0).
+  int depth = 0;
+
+  /// Index of `r` in `regions`, or -1 if `r` is not an instance region.
+  int Find(const Region& r) const;
+};
 
 /// An instance I of a region index (Definition 2.1): a mapping from region
 /// names R_1..R_n to region sets, together with the word-index predicate
@@ -32,12 +50,15 @@ namespace regal {
 /// one region name, and any two regions are disjoint or strictly nested.
 /// Validate() checks exactly that. The global region *tree* (parents by
 /// direct inclusion) is built lazily and backs the extended operators.
+/// Const member functions are safe to call concurrently, including the
+/// first one that builds the tree; mutators need exclusive access.
 class Instance {
  public:
   Instance() = default;
 
   /// Movable but not copyable (the tree holds indices into internal state;
-  /// use Clone() for an explicit deep copy).
+  /// use Clone() for an explicit deep copy). A moved-from instance may
+  /// only be assigned to or destroyed.
   Instance(Instance&&) = default;
   Instance& operator=(Instance&&) = default;
   Instance(const Instance&) = delete;
@@ -112,19 +133,17 @@ class Instance {
 
   // --- Global region tree (built on first use, invalidated by mutation) ---
 
+  /// The tree, built by the first caller and shared by all later ones.
+  /// Valid until the next mutation. Take it once per operator: element
+  /// access through the returned reference is plain vector indexing.
+  const RegionTree& Tree() const;
+
   /// Number of regions in the tree (== NumRegions()).
-  size_t TreeSize() const;
-  /// i-th region in document order.
-  const Region& TreeRegion(size_t i) const;
-  /// Name id (index into names()) of the i-th region.
-  int TreeNameId(size_t i) const;
-  /// Parent index of the i-th region, or -1 for roots. The parent is the
-  /// unique region directly including it (Definition of Section 2.2).
-  int TreeParent(size_t i) const;
+  size_t TreeSize() const { return Tree().regions.size(); }
   /// Index of `r` in the tree, or -1 if `r` is not an instance region.
-  int TreeFind(const Region& r) const;
+  int TreeFind(const Region& r) const { return Tree().Find(r); }
   /// Maximum nesting depth (a single root counts 1; empty instance is 0).
-  int TreeDepth() const;
+  int TreeDepth() const { return Tree().depth; }
 
   /// The RIG derived from this instance: edge (A, B) iff some A region
   /// directly includes some B region here. Any RIG this instance satisfies
@@ -136,7 +155,16 @@ class Instance {
   Digraph DeriveRog() const;
 
  private:
-  void EnsureTree() const;
+  /// The lazily built tree of one catalog state: `once` builds it, after
+  /// which it is read-only. Mutators install a fresh slot; heap-held so
+  /// the instance stays movable.
+  struct TreeSlot {
+    std::once_flag once;
+    RegionTree tree;
+  };
+
+  RegionTree BuildTree() const;
+  void InvalidateTree() { tree_slot_ = std::make_unique<TreeSlot>(); }
   static uint64_t NextId();
 
   uint64_t id_ = NextId();
@@ -149,12 +177,7 @@ class Instance {
   std::shared_ptr<const WordIndex> word_index_;
   std::map<std::string, RegionSet> synthetic_w_;  // Keyed by Pattern::CacheKey.
 
-  // Lazily built tree over all regions, in document order.
-  mutable bool tree_built_ = false;
-  mutable std::vector<Region> tree_regions_;
-  mutable std::vector<int> tree_name_ids_;
-  mutable std::vector<int> tree_parents_;
-  mutable int tree_depth_ = 0;
+  std::unique_ptr<TreeSlot> tree_slot_ = std::make_unique<TreeSlot>();
 };
 
 }  // namespace regal

@@ -11,11 +11,9 @@ namespace exec {
 
 namespace {
 
-// Registry updates fetch the metric fresh each time: pointers cached across
-// obs::Registry::Clear() (used for test/bench isolation) would dangle.
-// Dispatch bookkeeping still happens on the submitting thread only;
+// Dispatch bookkeeping happens on the submitting thread only;
 // ActiveLaneScope additionally updates the utilization gauge from whichever
-// lane runs the work, which is safe for the same fetch-fresh reason.
+// lane runs the work.
 void RecordDispatch(size_t queue_depth, int64_t tasks, int64_t steals) {
   obs::Registry& registry = obs::Registry::Default();
   registry.GetGauge("regal_exec_queue_depth")

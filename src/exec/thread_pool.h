@@ -30,7 +30,7 @@ namespace exec {
 /// std::thread::hardware_concurrency).
 ///
 /// Observability (obs::Registry::Default(), updated from the submitting
-/// thread only so metric pointers are never cached across Registry::Clear):
+/// thread):
 ///   regal_exec_threads            gauge    lanes of the default pool
 ///   regal_exec_queue_depth        gauge    queue length sampled at submit
 ///   regal_exec_tasks_total        counter  chunk/task executions

@@ -67,13 +67,14 @@ FmftModel ModelFromInstance(const Instance& instance,
   for (const Pattern& p : patterns) predicate_names.push_back(p.CacheKey());
   FmftModel model(std::move(predicate_names), num_region_names);
 
-  const size_t n = instance.TreeSize();
+  const RegionTree& tree = instance.Tree();
+  const size_t n = tree.regions.size();
   std::vector<std::string> words(n);
   std::vector<int> child_count(n, 0);
   int root_count = 0;
   if (region_of != nullptr) region_of->clear();
   for (size_t i = 0; i < n; ++i) {
-    int parent = instance.TreeParent(i);
+    int parent = tree.parents[i];
     int index_among_siblings;
     std::string parent_word;
     if (parent < 0) {
@@ -86,15 +87,15 @@ FmftModel ModelFromInstance(const Instance& instance,
     // lex-incomparable and ordered left to right; only the parent word is a
     // prefix.
     words[i] = parent_word + std::string(static_cast<size_t>(index_among_siblings), '1') + "0";
-    std::vector<int> predicates{instance.TreeNameId(i)};
+    std::vector<int> predicates{tree.name_ids[i]};
     for (size_t j = 0; j < patterns.size(); ++j) {
-      if (instance.W(instance.TreeRegion(i), patterns[j])) {
+      if (instance.W(tree.regions[i], patterns[j])) {
         predicates.push_back(num_region_names + static_cast<int>(j));
       }
     }
     Status st = model.AddWord(words[i], predicates);
     (void)st;  // Words are unique by construction.
-    if (region_of != nullptr) region_of->push_back(instance.TreeRegion(i));
+    if (region_of != nullptr) region_of->push_back(tree.regions[i]);
   }
   return model;
 }

@@ -136,10 +136,5 @@ std::vector<MetricSnapshot> Registry::Snapshot() const {
   return out;
 }
 
-void Registry::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-}
-
 }  // namespace obs
 }  // namespace regal

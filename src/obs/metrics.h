@@ -124,9 +124,6 @@ class Registry {
 
   std::vector<MetricSnapshot> Snapshot() const;
 
-  /// Drops every registered metric (tests and bench isolation).
-  void Clear();
-
   /// 0.001ms .. ~16s in powers of 4 — wide enough for both operator probes
   /// and whole-query latencies.
   static std::vector<double> DefaultLatencyBucketsMs();

@@ -16,7 +16,13 @@ namespace {
 const std::map<std::string, std::string>& BuiltinHelp() {
   static const auto* help = new std::map<std::string, std::string>{
       {"regal_queries_total", "Queries executed, by statement verb."},
-      {"regal_query_latency_ms", "End-to-end query latency in milliseconds."},
+      {"regal_query_latency_ms",
+       "Query evaluation latency in milliseconds (evaluation only: parse, "
+       "view resolution and optimization are not timed)."},
+      {"regal_server_request_latency_ms",
+       "Service-side wall time per served request in milliseconds, every "
+       "outcome: from the parsed request through admission, evaluation and "
+       "row rendering to the built response (frame IO excluded)."},
       {"regal_query_peak_memory_bytes",
        "Peak bytes of materialized results per governed query."},
       {"regal_engine_inflight_queries",

@@ -9,6 +9,7 @@
 #include <set>
 #include <thread>
 
+#include "admin/admin_server.h"
 #include "core/construct.h"
 #include "core/simd/simd_kernels.h"
 #include "doc/sgml.h"
@@ -174,10 +175,10 @@ Result<QueryEngine> QueryEngine::FromSgmlSource(const std::string& source) {
   return QueryEngine(std::move(instance), std::nullopt);
 }
 
-Status QueryEngine::SaveSnapshot(const std::string& path, storage::Env* env,
-                                 storage::SnapshotFormat format) const {
+Status QueryEngine::SaveSnapshot(const std::string& path,
+                                 storage::Env* env) const {
   std::shared_lock<std::shared_mutex> lock(*catalog_mu_);
-  return storage::SaveSnapshotToFile(instance_, path, env, format);
+  return storage::SaveSnapshotToFile(instance_, path, env);
 }
 
 Result<QueryEngine> QueryEngine::OpenSnapshot(const std::string& path,
@@ -670,20 +671,6 @@ Result<QueryAnswer> QueryEngine::ExplainExpr(const ExprPtr& expr,
   return answer;
 }
 
-Status QueryEngine::EnableAdminServer(admin::AdminOptions options) {
-  if (admin_server_ != nullptr) {
-    return Status::AlreadyExists("admin server already running on port " +
-                                 std::to_string(admin_server_->port()));
-  }
-  if (options.recorder == nullptr) options.recorder = flight_recorder();
-  REGAL_ASSIGN_OR_RETURN(std::unique_ptr<admin::AdminServer> server,
-                         admin::AdminServer::Start(std::move(options)));
-  RegisterStatusSections(server.get());
-  RegisterCpuStatusSection(server.get());
-  admin_server_ = std::move(server);
-  return Status::OK();
-}
-
 void QueryEngine::RegisterCpuStatusSection(admin::AdminServer* server) {
   server->AddStatusSection("cpu", [] {
     admin::StatusRows rows;
@@ -784,8 +771,6 @@ void QueryEngine::RegisterStatusSections(admin::AdminServer* server,
     });
   }
 }
-
-void QueryEngine::DisableAdminServer() { admin_server_.reset(); }
 
 Status QueryEngine::CheckViewName(const std::string& name) const {
   if (instance_.Has(name)) {

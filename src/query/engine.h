@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "admin/admin_server.h"
 #include "cache/result_cache.h"
 #include "core/eval.h"
 #include "core/instance.h"
@@ -22,6 +21,10 @@
 #include "util/status.h"
 
 namespace regal {
+
+namespace admin {
+class AdminServer;
+}  // namespace admin
 
 /// The annotated execution plan behind `explain [analyze]`: a span tree
 /// mirroring the executed expression, each node carrying the optimizer's
@@ -91,9 +94,9 @@ class QueryEngine {
 
   ~QueryEngine();
 
-  /// Movable while quiescent only: the background checkpointer and the
-  /// admin server hold `this`, so neither may be running across a move.
-  /// (Defaulted out-of-line: Checkpointer is incomplete here.)
+  /// Movable while quiescent only: the background checkpointer holds
+  /// `this`, so it may not be running across a move. (Defaulted
+  /// out-of-line: Checkpointer is incomplete here.)
   QueryEngine(QueryEngine&&);
   QueryEngine& operator=(QueryEngine&&);
 
@@ -105,12 +108,11 @@ class QueryEngine {
   // "Durability & snapshot format") ---
 
   /// Persists the catalog to `path` through the storage Env
-  /// (Env::Default() when null): serialized as `format` (REGAL2 by
-  /// default) and committed via the atomic temp+fsync+rename protocol, so
-  /// a crash at any point leaves the previous snapshot readable.
-  Status SaveSnapshot(
-      const std::string& path, storage::Env* env = nullptr,
-      storage::SnapshotFormat format = storage::SnapshotFormat::kRegal2) const;
+  /// (Env::Default() when null): serialized as REGAL2 and committed via the
+  /// atomic temp+fsync+rename protocol, so a crash at any point leaves the
+  /// previous snapshot readable.
+  Status SaveSnapshot(const std::string& path,
+                      storage::Env* env = nullptr) const;
 
   /// Opens an engine over a snapshot file (REGAL1 or REGAL2, sniffed by
   /// magic). Corrupt REGAL2 snapshots fail with kDataLoss.
@@ -163,8 +165,8 @@ class QueryEngine {
 
   /// Starts a thread that checkpoints whenever the journal reaches the
   /// configured threshold (or the store is degraded), checking at least
-  /// every `interval_ms`. Like the admin server, the engine must outlive —
-  /// and must not be moved while — the checkpointer runs.
+  /// every `interval_ms`. The engine must outlive — and must not be moved
+  /// while — the checkpointer runs.
   Status StartBackgroundCheckpointer(double interval_ms = 1000.0);
   /// Stops and joins the checkpointer thread. Idempotent.
   void StopBackgroundCheckpointer();
@@ -313,32 +315,17 @@ class QueryEngine {
     return recorder_ != nullptr ? recorder_ : &obs::FlightRecorder::Default();
   }
 
-  /// Starts the embedded admin endpoint (opt-in; loopback + ephemeral port
-  /// by default) and registers this engine's /statusz sections (catalog,
-  /// cache, exec, telemetry). The options' recorder defaults to this
-  /// engine's flight recorder. Fails with kAlreadyExists when already
-  /// enabled. The engine must outlive — and must not be moved while —
-  /// the server runs: the status sections point back at it.
-  Status EnableAdminServer(admin::AdminOptions options = {});
-
-  /// Stops and destroys the admin server. Idempotent.
-  void DisableAdminServer();
-
   /// Registers this engine's /statusz sections (catalog, cache, exec,
   /// telemetry, plus recovery when durable) on `server`, each section name
-  /// prefixed with `prefix` — the multi-instance hook the query service
-  /// front-end uses to expose every hosted catalog on one admin endpoint.
-  /// EnableAdminServer calls this with an empty prefix. The engine must
-  /// outlive the server and must not be moved while it runs.
+  /// prefixed with `prefix`. Whoever owns an admin endpoint calls this for
+  /// every engine it shows (the query service does, once per hosted
+  /// instance). The engine must outlive the server.
   void RegisterStatusSections(admin::AdminServer* server,
                               const std::string& prefix = "");
 
   /// Registers the engine-independent "cpu" section (ISA features, active
   /// kernel tier): once per admin endpoint, however many engines it shows.
   static void RegisterCpuStatusSection(admin::AdminServer* server);
-
-  /// The running server (port() gives the bound port), or null.
-  admin::AdminServer* admin_server() { return admin_server_.get(); }
 
  private:
   struct Checkpointer;
@@ -376,9 +363,6 @@ class QueryEngine {
   obs::FlightRecorder* recorder_ = nullptr;
   std::unique_ptr<recovery::DurableStore> durable_;
   std::unique_ptr<Checkpointer> checkpointer_;
-  // Declared last so it stops (joining its thread) before the state its
-  // status sections read is torn down.
-  std::unique_ptr<admin::AdminServer> admin_server_;
 };
 
 }  // namespace regal

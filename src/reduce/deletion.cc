@@ -34,9 +34,8 @@ bool IsSDeletedVersion(const Instance& original, const Instance& deleted,
   for (const Region& r : s) {
     int idx = original.TreeFind(r);
     if (idx < 0) return false;
-    const std::string& name =
-        original.names()[static_cast<size_t>(original.TreeNameId(
-            static_cast<size_t>(idx)))];
+    const std::string& name = original.names()[static_cast<size_t>(
+        original.Tree().name_ids[static_cast<size_t>(idx)])];
     if (!(*deleted.Get(name))->Member(r)) return false;
   }
   return true;

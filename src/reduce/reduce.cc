@@ -9,10 +9,10 @@ namespace regal {
 namespace {
 
 // Children lists for the instance tree, in document order.
-std::vector<std::vector<int>> ChildrenLists(const Instance& instance) {
-  std::vector<std::vector<int>> children(instance.TreeSize());
-  for (size_t i = 0; i < instance.TreeSize(); ++i) {
-    int p = instance.TreeParent(i);
+std::vector<std::vector<int>> ChildrenLists(const RegionTree& tree) {
+  std::vector<std::vector<int>> children(tree.regions.size());
+  for (size_t i = 0; i < tree.regions.size(); ++i) {
+    int p = tree.parents[i];
     if (p >= 0) children[static_cast<size_t>(p)].push_back(static_cast<int>(i));
   }
   return children;
@@ -20,12 +20,13 @@ std::vector<std::vector<int>> ChildrenLists(const Instance& instance) {
 
 bool SameLabels(const Instance& instance, int u, int v,
                 const std::vector<Pattern>& patterns) {
-  if (instance.TreeNameId(static_cast<size_t>(u)) !=
-      instance.TreeNameId(static_cast<size_t>(v))) {
+  const RegionTree& tree = instance.Tree();
+  if (tree.name_ids[static_cast<size_t>(u)] !=
+      tree.name_ids[static_cast<size_t>(v)]) {
     return false;
   }
-  const Region& ru = instance.TreeRegion(static_cast<size_t>(u));
-  const Region& rv = instance.TreeRegion(static_cast<size_t>(v));
+  const Region& ru = tree.regions[static_cast<size_t>(u)];
+  const Region& rv = tree.regions[static_cast<size_t>(v)];
   for (const Pattern& p : patterns) {
     if (instance.W(ru, p) != instance.W(rv, p)) return false;
   }
@@ -54,42 +55,44 @@ bool SubtreesIsomorphic(const Instance& instance,
 
 bool AreIsomorphic(const Instance& instance, const Region& r1,
                    const Region& r2, const std::vector<Pattern>& patterns) {
-  int u = instance.TreeFind(r1);
-  int v = instance.TreeFind(r2);
+  const RegionTree& tree = instance.Tree();
+  int u = tree.Find(r1);
+  int v = tree.Find(r2);
   if (u < 0 || v < 0 || u == v) return false;
   // Ancestor chains must match level by level on names and patterns (the
   // "regions containing r" part of S_r).
-  int pu = instance.TreeParent(static_cast<size_t>(u));
-  int pv = instance.TreeParent(static_cast<size_t>(v));
+  int pu = tree.parents[static_cast<size_t>(u)];
+  int pv = tree.parents[static_cast<size_t>(v)];
   while (pu >= 0 && pv >= 0) {
     if (!SameLabels(instance, pu, pv, patterns)) return false;
-    pu = instance.TreeParent(static_cast<size_t>(pu));
-    pv = instance.TreeParent(static_cast<size_t>(pv));
+    pu = tree.parents[static_cast<size_t>(pu)];
+    pv = tree.parents[static_cast<size_t>(pv)];
   }
   if (pu != pv) return false;  // Different depths.
-  std::vector<std::vector<int>> children = ChildrenLists(instance);
+  std::vector<std::vector<int>> children = ChildrenLists(tree);
   return SubtreesIsomorphic(instance, children, u, v, patterns, nullptr);
 }
 
 Result<ReduceResult> Reduce(const Instance& instance, const Region& r1,
                             const Region& r2,
                             const std::vector<Pattern>& patterns) {
-  int u = instance.TreeFind(r1);
-  int v = instance.TreeFind(r2);
+  const RegionTree& tree = instance.Tree();
+  int u = tree.Find(r1);
+  int v = tree.Find(r2);
   if (u < 0 || v < 0) {
     return Status::NotFound("reduce: region not in the instance");
   }
   if (!AreIsomorphic(instance, r1, r2, patterns)) {
     return Status::FailedPrecondition("reduce: regions are not isomorphic");
   }
-  std::vector<std::vector<int>> children = ChildrenLists(instance);
+  std::vector<std::vector<int>> children = ChildrenLists(tree);
   std::vector<std::pair<int, int>> pairs;
   SubtreesIsomorphic(instance, children, u, v, patterns, &pairs);
   ReduceResult out;
   std::vector<Region> deleted;
   for (const auto& [du, dv] : pairs) {
-    const Region& from = instance.TreeRegion(static_cast<size_t>(du));
-    const Region& to = instance.TreeRegion(static_cast<size_t>(dv));
+    const Region& from = tree.regions[static_cast<size_t>(du)];
+    const Region& to = tree.regions[static_cast<size_t>(dv)];
     deleted.push_back(from);
     out.mapping[from] = to;
   }

@@ -14,9 +14,10 @@ namespace safety {
 
 /// Tuning for the CoDel-style admission controller (see AdmissionController).
 struct AdmissionOptions {
-  /// Concurrent execution slots. Requests beyond this queue; the queue's
-  /// sojourn time is the controller's congestion signal.
-  int capacity = 1;
+  /// Concurrent execution slots — the query service's one global
+  /// concurrency cap. Requests beyond this queue; the queue's sojourn
+  /// time is the controller's congestion signal. Values below 1 mean 1.
+  int capacity = 64;
   /// Requests waiting beyond this are refused outright (kQueueFull):
   /// an unbounded queue is exactly the failure mode this controller
   /// exists to prevent.

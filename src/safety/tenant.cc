@@ -5,18 +5,6 @@
 namespace regal {
 namespace safety {
 
-const char* AdmitRejectLabel(AdmitReject reject) {
-  switch (reject) {
-    case AdmitReject::kNone:
-      return "none";
-    case AdmitReject::kCapacity:
-      return "capacity";
-    case AdmitReject::kFairShare:
-      return "fair_share";
-  }
-  return "unknown";
-}
-
 void TenantGovernor::SetQuota(const std::string& tenant, TenantQuota quota) {
   std::lock_guard<std::mutex> lock(mu_);
   quotas_[tenant] = std::move(quota);
@@ -28,44 +16,33 @@ TenantQuota TenantGovernor::QuotaFor(const std::string& tenant) const {
   return it != quotas_.end() ? it->second : options_.default_quota;
 }
 
-Status TenantGovernor::Admit(const std::string& tenant, AdmitReject* reject) {
+Status TenantGovernor::Admit(const std::string& tenant) {
   std::lock_guard<std::mutex> lock(mu_);
   TenantState& state = state_[tenant];
-  auto fail = [&](AdmitReject kind, std::string message) {
-    if (reject != nullptr) *reject = kind;
-    ++state.rejected_total;
-    return Status::ResourceExhausted(std::move(message));
-  };
-  if (inflight_total_ >= options_.max_concurrent_total) {
-    return fail(AdmitReject::kCapacity,
-                "server at capacity (" +
-                    std::to_string(options_.max_concurrent_total) +
-                    " concurrent queries)");
-  }
   auto quota_it = quotas_.find(tenant);
   const TenantQuota& quota =
       quota_it != quotas_.end() ? quota_it->second : options_.default_quota;
   int cap = quota.max_concurrent;
   if (cap <= 0) {
-    // Fair share of the global cap among currently-active tenants, the
-    // candidate included. Recomputed per admission, so the share grows
-    // back automatically as other tenants drain.
+    // Fair share of the admission capacity among currently-active
+    // tenants, the candidate included. Recomputed per admission, so the
+    // share grows back automatically as other tenants drain.
     int active = 0;
     for (const auto& [name, other] : state_) {
       if (other.inflight > 0 && name != tenant) ++active;
     }
     ++active;  // The candidate.
-    cap = std::max(1, options_.max_concurrent_total / active);
+    cap = std::max(1, capacity_ / active);
   }
   if (state.inflight >= cap) {
-    return fail(AdmitReject::kFairShare,
-                "tenant '" + tenant + "' over fair share (" +
-                    std::to_string(cap) + " concurrent queries)");
+    ++state.rejected_total;
+    return Status::ResourceExhausted("tenant '" + tenant +
+                                     "' over fair share (" +
+                                     std::to_string(cap) +
+                                     " concurrent queries)");
   }
-  if (reject != nullptr) *reject = AdmitReject::kNone;
   ++state.inflight;
   ++state.admitted_total;
-  ++inflight_total_;
   return Status::OK();
 }
 
@@ -74,7 +51,6 @@ void TenantGovernor::Release(const std::string& tenant) {
   auto it = state_.find(tenant);
   if (it == state_.end() || it->second.inflight <= 0) return;
   --it->second.inflight;
-  --inflight_total_;
 }
 
 Status TenantGovernor::ChargeResponseBytes(const std::string& tenant,
@@ -105,11 +81,6 @@ void TenantGovernor::ReleaseResponseBytes(const std::string& tenant,
   it->second.response_bytes = std::max<int64_t>(0, it->second.response_bytes - bytes);
 }
 
-int TenantGovernor::inflight_total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return inflight_total_;
-}
-
 int TenantGovernor::active_tenants() const {
   std::lock_guard<std::mutex> lock(mu_);
   int active = 0;
@@ -134,9 +105,6 @@ std::vector<std::pair<std::string, std::string>> TenantGovernor::StatusRows()
     const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::pair<std::string, std::string>> rows;
-  rows.emplace_back("max_concurrent_total",
-                    std::to_string(options_.max_concurrent_total));
-  rows.emplace_back("inflight_total", std::to_string(inflight_total_));
   for (const auto& [name, state] : state_) {
     rows.emplace_back(
         name, "inflight=" + std::to_string(state.inflight) +

@@ -20,7 +20,7 @@ namespace safety {
 /// same way a single query's work is.
 struct TenantQuota {
   /// Hard cap on this tenant's concurrent queries; <= 0 means "a fair
-  /// share of the governor's global cap" (see TenantGovernor::Admit).
+  /// share of the admission capacity" (see TenantGovernor::Admit).
   int max_concurrent = 0;
   /// Byte cap on this tenant's responses currently being serialized and
   /// sent (backpressure: a tenant streaming giant results cannot buffer
@@ -31,21 +31,15 @@ struct TenantQuota {
   QueryLimits limits;
 };
 
-/// Admission outcome detail, for metrics labels and error messages.
-enum class AdmitReject {
-  kNone,       ///< Admitted.
-  kCapacity,   ///< The global concurrency cap is exhausted.
-  kFairShare,  ///< The tenant exceeded its (explicit or fair-share) cap.
-};
-
-const char* AdmitRejectLabel(AdmitReject reject);
-
-/// Thread-safe per-tenant accountant: concurrency admission with
-/// fair-share arbitration plus byte-accounted response backpressure.
+/// Thread-safe per-tenant accountant: fair-share arbitration of the
+/// admission capacity plus byte-accounted response backpressure.
 ///
-/// Fair share: with a global cap of G slots and A tenants currently
-/// holding at least one slot (the candidate counts as active), a tenant
-/// without an explicit max_concurrent may hold up to max(1, G / A) slots.
+/// The global concurrency cap belongs to the AdmissionController in front
+/// of the governor (safety/admission.h): a request reaches Admit() only
+/// while it holds one of that controller's `capacity` slots. The governor
+/// divides those slots among tenants. With A tenants currently holding at
+/// least one slot (the candidate counts as active), a tenant without an
+/// explicit max_concurrent may hold up to max(1, capacity / A) of them.
 /// The bound adapts as tenants come and go — a tenant alone on the box
 /// uses all of it; the moment a second tenant shows up, neither can
 /// starve the other below half. Rejection is immediate (no queueing):
@@ -54,21 +48,23 @@ const char* AdmitRejectLabel(AdmitReject reject);
 class TenantGovernor {
  public:
   struct Options {
-    /// Global concurrent-query cap across all tenants.
-    int max_concurrent_total = 64;
     /// Quota for tenants without an explicit SetQuota entry.
     TenantQuota default_quota;
   };
 
-  explicit TenantGovernor(Options options) : options_(std::move(options)) {}
+  /// `capacity` is the admission controller's slot count, the pool that
+  /// fair share divides.
+  explicit TenantGovernor(int capacity, Options options = {})
+      : capacity_(capacity), options_(std::move(options)) {}
 
   void SetQuota(const std::string& tenant, TenantQuota quota);
   TenantQuota QuotaFor(const std::string& tenant) const;
 
-  /// Takes one concurrency slot for `tenant`, or reports why not. On
-  /// success the caller must Release() exactly once (AdmissionTicket
-  /// below). `reject` (when non-null) is filled with the rejection kind.
-  Status Admit(const std::string& tenant, AdmitReject* reject = nullptr);
+  /// Takes one concurrency slot for `tenant`, or fails with
+  /// kResourceExhausted when the tenant is over its (explicit or
+  /// fair-share) cap. On success the caller must Release() exactly once
+  /// (AdmissionTicket below).
+  Status Admit(const std::string& tenant);
   void Release(const std::string& tenant);
 
   /// Charges `bytes` of response payload against the tenant's in-flight
@@ -77,7 +73,6 @@ class TenantGovernor {
   Status ChargeResponseBytes(const std::string& tenant, int64_t bytes);
   void ReleaseResponseBytes(const std::string& tenant, int64_t bytes);
 
-  int inflight_total() const;
   int active_tenants() const;
   int64_t inflight_response_bytes_total() const;
 
@@ -93,11 +88,11 @@ class TenantGovernor {
     int64_t rejected_total = 0;
   };
 
+  const int capacity_;
   Options options_;
   mutable std::mutex mu_;
   std::map<std::string, TenantQuota> quotas_;
   std::map<std::string, TenantState> state_;
-  int inflight_total_ = 0;
 };
 
 /// RAII admission slot: releases on destruction. Empty (ok() == false)

@@ -13,17 +13,11 @@ namespace regal {
 namespace server {
 
 QueryService::QueryService(ServiceOptions options)
-    : options_(std::move(options)), governor_(options_.governance) {
+    : options_(std::move(options)),
+      admission_(
+          std::make_unique<safety::AdmissionController>(options_.admission)),
+      governor_(admission_->options().capacity, options_.governance) {
   obs::Registry& registry = obs::Registry::Default();
-  safety::AdmissionOptions admission = options_.admission;
-  if (admission.capacity <= 0) {
-    // Never stricter than the governor: with the derived capacity the
-    // governor's own capacity/fair-share verdicts stay reachable (and
-    // keep their RESOURCE_EXHAUSTED wire code).
-    admission.capacity =
-        std::max(1, options_.governance.max_concurrent_total);
-  }
-  admission_ = std::make_unique<safety::AdmissionController>(admission);
   if (options_.frame_deadline_ms > 0) {
     net::WatchdogOptions watchdog;
     watchdog.deadline_ms = options_.frame_deadline_ms;
@@ -315,8 +309,11 @@ Response QueryService::Execute(const Request& request) {
   Timer timer;
   auto finish = [&](bool ok) {
     response.ok = ok;
-    if (response.elapsed_ms == 0) response.elapsed_ms = timer.Millis();
-    latency_ms_->Observe(response.elapsed_ms);
+    // The histogram times the service on every outcome; the wire field
+    // keeps the engine's evaluation time on success.
+    const double service_ms = timer.Millis();
+    if (response.elapsed_ms == 0) response.elapsed_ms = service_ms;
+    latency_ms_->Observe(service_ms);
     registry
         .GetCounter("regal_server_requests_total",
                     {{"tenant", request.tenant},
@@ -382,12 +379,11 @@ Response QueryService::Execute(const Request& request) {
         std::to_string(response.retry_after_ms) + " ms"));
   }
 
-  safety::AdmitReject why = safety::AdmitReject::kNone;
-  Status admitted = governor_.Admit(request.tenant, &why);
+  Status admitted = governor_.Admit(request.tenant);
   if (!admitted.ok()) {
     registry
         .GetCounter("regal_server_admission_rejects_total",
-                    {{"reason", safety::AdmitRejectLabel(why)}})
+                    {{"reason", "fair_share"}})
         ->Increment();
     return fail(admitted);
   }

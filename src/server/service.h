@@ -37,24 +37,17 @@ struct ServiceOptions {
   int idle_timeout_ms = 30000;
   /// Row-render cap when the request does not carry its own `limit`.
   int64_t default_row_limit = 10;
-  /// Global concurrency cap + default tenant quota (per-tenant overrides
-  /// via QueryService::SetTenantQuota).
+  /// Default tenant quota (per-tenant overrides via
+  /// QueryService::SetTenantQuota).
   safety::TenantGovernor::Options governance;
   /// When set, every hosted engine records into this flight recorder (so
   /// one /tracez covers all tenants); null leaves each engine on the
   /// process-wide default.
   obs::FlightRecorder* recorder = nullptr;
-  /// CoDel-style adaptive admission (see safety/admission.h). A
-  /// non-positive capacity derives max(1, governance.max_concurrent_total)
-  /// so the admission layer never out-restricts the governor it fronts.
-  safety::AdmissionOptions admission = DerivedCapacityAdmission();
-  /// The default `admission` value: capacity 0, i.e. "derive from
-  /// governance" (see above).
-  static safety::AdmissionOptions DerivedCapacityAdmission() {
-    safety::AdmissionOptions options;
-    options.capacity = 0;
-    return options;
-  }
+  /// CoDel-style adaptive admission (see safety/admission.h). Its
+  /// `capacity` is the service's one global concurrency cap; tenant fair
+  /// share divides it.
+  safety::AdmissionOptions admission;
   /// Stop() drain bound: handlers get this long to finish politely before
   /// their sockets are force-closed (see ConnectionSet::DrainAndJoin).
   int drain_grace_ms = 2000;
@@ -82,13 +75,15 @@ struct ServiceOptions {
 /// internally synchronized, so this layer adds no locking around
 /// evaluation itself.
 ///
-/// Governance: each request is admitted through the TenantGovernor
-/// (global concurrency cap, per-tenant fair share), executed under the
-/// tenant quota's QueryLimits (tightened further by the request's own
-/// deadline_ms), and its response bytes are charged against the tenant's
-/// in-flight byte cap before the send — the backpressure path that turns
-/// a slow-reading client into that tenant's problem instead of the
-/// box's. All rejections are immediate errors the client can retry.
+/// Governance: each request takes one of the AdmissionController's slots
+/// (the global concurrency cap; over it, requests queue and CoDel sheds),
+/// then passes the TenantGovernor's fair share of those slots, executes
+/// under the tenant quota's QueryLimits (tightened further by the
+/// request's own deadline_ms), and has its response bytes charged against
+/// the tenant's in-flight byte cap before the send — the backpressure
+/// path that turns a slow-reading client into that tenant's problem
+/// instead of the box's. All rejections are typed errors the client can
+/// retry.
 ///
 /// Shutdown/drain: Stop() stops accepting, then SHUT_RDs every live
 /// connection — handlers finish the request they are executing, send its
@@ -172,8 +167,8 @@ class QueryService {
   void ApplyBrownoutTransition(bool brownout);
 
   ServiceOptions options_;
-  safety::TenantGovernor governor_;
   std::unique_ptr<safety::AdmissionController> admission_;
+  safety::TenantGovernor governor_;
   std::unique_ptr<net::Watchdog> watchdog_;
   std::atomic<bool> brownout_applied_{false};
   std::atomic<int64_t> forced_closes_{0};

@@ -5,8 +5,6 @@
 #include <sstream>
 
 #include "index/word_index.h"
-#include "storage/env.h"
-#include "storage/snapshot.h"
 
 namespace regal {
 
@@ -37,12 +35,6 @@ constexpr size_t kBlindReserveCap = 1 << 20;
 bool RegionCountPlausible(size_t count, std::streamoff remaining) {
   if (remaining < 0) return true;  // Unknown size: parse will hit EOF.
   return count <= (static_cast<uint64_t>(remaining) + 1) / 4;
-}
-
-void WriteRegions(const RegionSet& set, std::ostream& out) {
-  for (const Region& r : set) {
-    out << r.left << " " << r.right << "\n";
-  }
 }
 
 // Consumes one line terminator after a fixed-size payload or a formatted
@@ -84,43 +76,6 @@ Result<RegionSet> ReadRegions(std::istream& in, size_t count) {
 }
 
 }  // namespace
-
-Status SaveInstance(const Instance& instance, std::ostream& out) {
-  out << kMagic << "\n";
-  if (instance.text() != nullptr) {
-    const std::string& content = instance.text()->content();
-    out << "text " << content.size() << "\n";
-    out.write(content.data(), static_cast<std::streamsize>(content.size()));
-    out << "\n";
-  }
-  for (const std::string& name : instance.names()) {
-    if (name.find_first_of(" \t\n") != std::string::npos) {
-      return Status::InvalidArgument("region name '" + name +
-                                     "' contains whitespace");
-    }
-    const RegionSet& set = **instance.Get(name);
-    out << "name " << name << " " << set.size() << "\n";
-    WriteRegions(set, out);
-  }
-  for (const auto& [key, set] : instance.synthetic_patterns()) {
-    // A pattern key is user-controlled (the pattern spec may hold spaces,
-    // tabs, even CR/LF — think phrase patterns like "new york"). The bare
-    // `pattern <key> <count>` header tokenizes on whitespace, so such keys
-    // go out length-prefixed as `patternb` instead; whitespace-free keys
-    // keep the legacy record for compatibility with existing corpora.
-    if (key.find_first_of(" \t\r\n") == std::string::npos) {
-      out << "pattern " << key << " " << set.size() << "\n";
-    } else {
-      out << "patternb " << key.size() << " " << set.size() << "\n";
-      out.write(key.data(), static_cast<std::streamsize>(key.size()));
-      out << "\n";
-    }
-    WriteRegions(set, out);
-  }
-  out << "end\n";
-  if (!out) return Status::Internal("stream write failed");
-  return Status::OK();
-}
 
 Result<Instance> LoadInstance(std::istream& in) {
   std::string line;
@@ -208,20 +163,6 @@ Result<Instance> LoadInstance(std::istream& in) {
     instance.BindText(text, std::move(index));
   }
   return instance;
-}
-
-Status SaveInstanceToFile(const Instance& instance, const std::string& path,
-                          storage::Env* env) {
-  // The legacy REGAL1 format, but through the same atomic temp+fsync+rename
-  // protocol as REGAL2: the destination is never clobbered before the new
-  // contents are known-good and durable.
-  return storage::SaveSnapshotToFile(instance, path, env,
-                                     storage::SnapshotFormat::kRegal1);
-}
-
-Result<Instance> LoadInstanceFromFile(const std::string& path,
-                                      storage::Env* env) {
-  return storage::LoadSnapshotFromFile(path, env);
 }
 
 }  // namespace regal

@@ -5,14 +5,13 @@
 #include <string>
 
 #include "core/instance.h"
-#include "storage/env.h"
 #include "util/status.h"
 
 namespace regal {
 
-/// A simple line-oriented persistence format for region indexes, so an
-/// indexed corpus can be built once and reopened (the workflow of the
-/// commercial system the paper studies). Versioned header "REGAL1".
+/// The legacy line-oriented snapshot format, versioned header "REGAL1".
+/// Read-only: REGAL2 (storage/snapshot.h) is the only format the product
+/// writes; this reader keeps existing REGAL1 files opening.
 ///
 ///   REGAL1
 ///   text <byte-count>
@@ -23,10 +22,9 @@ namespace regal {
 ///   <left> <right>            (count lines; synthetic W tables)
 ///   patternb <key-bytes> <count>
 ///   <raw cache-key bytes>     (keys containing whitespace — e.g. the
-///   <left> <right>             phrase pattern "new york" — are written
-///                              length-prefixed; `pattern` stays the record
-///                              for whitespace-free keys so existing
-///                              corpora keep loading)
+///   <left> <right>             phrase pattern "new york" — are stored
+///                              length-prefixed; whitespace-free keys use
+///                              the `pattern` record)
 ///   end
 ///
 /// The reader tolerates CRLF ("\r\n") line endings throughout. Corrupt or
@@ -38,22 +36,9 @@ namespace regal {
 /// Region names may contain any non-whitespace characters.
 ///
 /// REGAL1 has no checksums: corruption that still parses (a flipped digit)
-/// loads silently. New snapshots should use the REGAL2 binary format
-/// (storage/snapshot.h), which detects torn writes and bit rot as
-/// kDataLoss; this text format remains the compatibility read/write path.
-Status SaveInstance(const Instance& instance, std::ostream& out);
-
+/// loads silently, where REGAL2 detects torn writes and bit rot as
+/// kDataLoss. storage::LoadSnapshotFromFile opens files of either format.
 Result<Instance> LoadInstance(std::istream& in);
-
-/// File-path conveniences, routed through the storage Env (Env::Default()
-/// when null). Saving writes REGAL1 via the atomic temp+fsync+rename
-/// protocol — a crash or failure mid-save leaves the previous file intact.
-/// Loading sniffs the format by magic, so both REGAL1 and REGAL2 files
-/// open through this entry point.
-Status SaveInstanceToFile(const Instance& instance, const std::string& path,
-                          storage::Env* env = nullptr);
-Result<Instance> LoadInstanceFromFile(const std::string& path,
-                                      storage::Env* env = nullptr);
 
 }  // namespace regal
 

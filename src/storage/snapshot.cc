@@ -438,7 +438,7 @@ Result<Instance> SalvageSnapshot(std::string_view bytes,
 }
 
 Status SaveSnapshotToFile(const Instance& instance, const std::string& path,
-                          Env* env, SnapshotFormat format) {
+                          Env* env) {
   // Always-on latency histogram: encode + the full durable commit protocol
   // (temp write, fsyncs, rename), success or not.
   ScopedTimer timed([](double ms) {
@@ -447,14 +447,7 @@ Status SaveSnapshotToFile(const Instance& instance, const std::string& path,
         ->Observe(ms);
   });
   if (env == nullptr) env = Env::Default();
-  std::string payload;
-  if (format == SnapshotFormat::kRegal2) {
-    REGAL_ASSIGN_OR_RETURN(payload, EncodeSnapshot(instance));
-  } else {
-    std::ostringstream out;
-    REGAL_RETURN_NOT_OK(SaveInstance(instance, out));
-    payload = out.str();
-  }
+  REGAL_ASSIGN_OR_RETURN(std::string payload, EncodeSnapshot(instance));
   return AtomicWriteFile(env, path, payload);
 }
 

@@ -93,22 +93,15 @@ Result<Instance> SalvageSnapshot(std::string_view bytes,
 /// True when `bytes` begin with the REGAL2 magic (format sniffing).
 bool LooksLikeRegal2(std::string_view bytes);
 
-/// On-disk snapshot format selector for the file-level helpers.
-enum class SnapshotFormat {
-  kRegal1,  ///< Legacy line-oriented text format (storage/serialize.h).
-  kRegal2,  ///< Checksummed binary format (this header). The default.
-};
-
-/// Serializes and atomically writes `instance` to `path` via `env`
-/// (Env::Default() when null) using the temp+fsync+rename protocol of
-/// AtomicWriteFile: a crash at any point leaves the previous committed
+/// Encodes `instance` as REGAL2 and atomically writes it to `path` via
+/// `env` (Env::Default() when null) using the temp+fsync+rename protocol
+/// of AtomicWriteFile: a crash at any point leaves the previous committed
 /// snapshot (or no file) — never a partial one.
 Status SaveSnapshotToFile(const Instance& instance, const std::string& path,
-                          Env* env = nullptr,
-                          SnapshotFormat format = SnapshotFormat::kRegal2);
+                          Env* env = nullptr);
 
 /// Reads `path` via `env` and decodes it, sniffing REGAL2 vs legacy REGAL1
-/// by magic. Corruption in a REGAL2 file reports kDataLoss; a REGAL1 file
+/// (read-only, storage/serialize.h) by magic. Corruption in a REGAL2 file reports kDataLoss; a REGAL1 file
 /// keeps its legacy InvalidArgument reporting (it has no checksums to
 /// distinguish corruption from malformed input).
 Result<Instance> LoadSnapshotFromFile(const std::string& path,

@@ -135,7 +135,9 @@ bool ValidPrometheus(const std::string& text, std::string* why) {
 }
 
 // One engine + admin server + private flight recorder per fixture, so tests
-// never race each other's records through the process-wide default.
+// never race each other's records through the process-wide default. The
+// fixture owns the endpoint and registers the engine's sections on it, as
+// any host of an engine does.
 class AdminEndpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -154,9 +156,14 @@ class AdminEndpointTest : public ::testing::Test {
     ASSERT_TRUE(engine.ok()) << engine.status();
     engine_ = std::make_unique<QueryEngine>(std::move(engine).value());
     engine_->set_flight_recorder(recorder_.get());
-    Status started = engine_->EnableAdminServer();
-    ASSERT_TRUE(started.ok()) << started;
-    port_ = engine_->admin_server()->port();
+    admin::AdminOptions admin_options;
+    admin_options.recorder = recorder_.get();
+    auto started = admin::AdminServer::Start(admin_options);
+    ASSERT_TRUE(started.ok()) << started.status();
+    admin_ = std::move(started).value();
+    engine_->RegisterStatusSections(admin_.get());
+    QueryEngine::RegisterCpuStatusSection(admin_.get());
+    port_ = admin_->port();
     ASSERT_GT(port_, 0);
   }
 
@@ -201,6 +208,8 @@ class AdminEndpointTest : public ::testing::Test {
   std::unique_ptr<obs::EventLog> quiet_log_;
   std::unique_ptr<obs::FlightRecorder> recorder_;
   std::unique_ptr<QueryEngine> engine_;
+  // Declared after the engine so it stops before the engine it shows.
+  std::unique_ptr<admin::AdminServer> admin_;
   int port_ = 0;
 };
 
@@ -307,22 +316,6 @@ TEST_F(AdminEndpointTest, UnknownPathsAnswer404) {
   std::string index = Get("/", &status);
   EXPECT_EQ(status, 200);
   EXPECT_NE(index.find("/metrics"), std::string::npos);
-}
-
-TEST_F(AdminEndpointTest, EnableIsExclusiveAndDisableIsIdempotent) {
-  Status again = engine_->EnableAdminServer();
-  EXPECT_FALSE(again.ok());
-  EXPECT_EQ(again.code(), StatusCode::kAlreadyExists);
-  engine_->DisableAdminServer();
-  EXPECT_EQ(engine_->admin_server(), nullptr);
-  engine_->DisableAdminServer();  // No-op.
-  Status restarted = engine_->EnableAdminServer();
-  EXPECT_TRUE(restarted.ok()) << restarted;
-  int status = 0;
-  auto body = admin::HttpGet("127.0.0.1", engine_->admin_server()->port(),
-                             "/healthz", &status);
-  ASSERT_TRUE(body.ok()) << body.status();
-  EXPECT_EQ(status, 200);
 }
 
 TEST(AdminServerTest, RejectsUnbindableAddress) {

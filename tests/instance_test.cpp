@@ -51,11 +51,7 @@ TEST(InstanceTest, TreeParents) {
   Instance instance = SmallInstance();
   ASSERT_EQ(instance.TreeSize(), 5u);
   // Document order: [0,11], [1,4], [2,3], [6,10], [7,8].
-  EXPECT_EQ(instance.TreeParent(0), -1);
-  EXPECT_EQ(instance.TreeParent(1), 0);
-  EXPECT_EQ(instance.TreeParent(2), 1);
-  EXPECT_EQ(instance.TreeParent(3), 0);
-  EXPECT_EQ(instance.TreeParent(4), 3);
+  EXPECT_EQ(instance.Tree().parents, (std::vector<int>{-1, 0, 1, 0, 3}));
   EXPECT_EQ(instance.TreeDepth(), 3);
 }
 
@@ -195,10 +191,10 @@ TEST(SyntheticInstanceTest, Figure2Shape) {
   EXPECT_LE(a.size(), static_cast<size_t>(depth));
   // Outermost region is a B; every region below the root has a B parent
   // (the spine carries everything).
-  EXPECT_TRUE(b.Member(instance.TreeRegion(0)));
-  for (size_t i = 1; i < instance.TreeSize(); ++i) {
-    const Region& parent =
-        instance.TreeRegion(static_cast<size_t>(instance.TreeParent(i)));
+  const RegionTree& tree = instance.Tree();
+  EXPECT_TRUE(b.Member(tree.regions[0]));
+  for (size_t i = 1; i < tree.regions.size(); ++i) {
+    const Region& parent = tree.regions[static_cast<size_t>(tree.parents[i])];
     EXPECT_TRUE(b.Member(parent));
   }
   // Reproducible.

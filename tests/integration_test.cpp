@@ -3,14 +3,12 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "core/construct.h"
 #include "doc/dictionary.h"
 #include "doc/sgml.h"
 #include "doc/srccode.h"
 #include "query/engine.h"
-#include "storage/serialize.h"
+#include "storage/snapshot.h"
 #include "util/random.h"
 
 namespace regal {
@@ -57,9 +55,9 @@ TEST(IntegrationTest, ProgramCorpusThroughStorageAndEngine) {
   auto parsed = ParseProgram(GenerateProgramSource(gen));
   ASSERT_TRUE(parsed.ok());
 
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveInstance(*parsed, buffer).ok());
-  auto reloaded = LoadInstance(buffer);
+  auto encoded = storage::EncodeSnapshot(*parsed);
+  ASSERT_TRUE(encoded.ok()) << encoded.status();
+  auto reloaded = storage::DecodeSnapshot(*encoded);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status();
 
   QueryEngine engine(std::move(reloaded).value(), SourceCodeRig());

@@ -365,6 +365,60 @@ TEST(ParallelEvalTest, ExplainAnalyzeStillWorksOnTheParallelPath) {
             static_cast<int64_t>(answer->regions.size()));
 }
 
+// The region tree behind ⊃_d and ⊂_d is built on first use. Queries that
+// arrive together on a fresh catalog all hold the catalog lock shared, so
+// they race to that first use: every one must see the whole tree, and
+// every concurrent answer must equal the single-threaded one.
+TEST(RegionTreeTest, ConcurrentFirstUseMatchesSingleThreadedAnswers) {
+  DictionaryGeneratorOptions options;
+  options.entries = 120;
+  const std::string source = GenerateDictionarySource(options);
+  const std::vector<std::string> queries = {
+      "entry dincluding sense",
+      "sense dwithin entry",
+      "bi(entry, headword, sense)",
+      "sense dincluding (quote dincluding author)",
+      "bi(sense, def, quote dwithin sense)",
+      "(author dwithin quote) within entry",
+  };
+  auto reference = QueryEngine::FromSgmlSource(source);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  std::vector<RegionSet> expected;
+  for (const std::string& query : queries) {
+    auto answer = reference->Run(query);
+    ASSERT_TRUE(answer.ok()) << query << ": " << answer.status();
+    ASSERT_FALSE(answer->regions.empty()) << query;
+    expected.push_back(answer->regions);
+  }
+
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 10;
+  for (int round = 0; round < kRounds; ++round) {
+    auto engine = QueryEngine::FromSgmlSource(source);
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    // Every run must evaluate, so no thread is answered from the cache.
+    engine->set_result_cache_enabled(false);
+    std::atomic<int> ready{0};
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        for (size_t i = 0; i < queries.size(); ++i) {
+          const size_t q = (i + static_cast<size_t>(t)) % queries.size();
+          auto answer = engine->Run(queries[q]);
+          if (!answer.ok() || answer->regions != expected[q]) {
+            mismatches.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_EQ(mismatches.load(), 0) << "round " << round;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Lock-free telemetry primitives. These hammers live in the parallel suite
 // so the TSAN configuration (-DREGAL_SANITIZE=thread) validates the relaxed

@@ -26,12 +26,12 @@
 #include <thread>
 #include <vector>
 
+#include "chaosnet.h"
 #include "query/engine.h"
 #include "recovery/durable.h"
 #include "recovery/retry.h"
 #include "safety/admission.h"
 #include "safety/failpoint.h"
-#include "server/chaosnet.h"
 #include "server/client.h"
 #include "server/net.h"
 #include "server/protocol.h"

@@ -17,7 +17,9 @@
 #include <vector>
 
 #include "admin/admin_server.h"
+#include "obs/metrics.h"
 #include "query/engine.h"
+#include "safety/admission.h"
 #include "safety/tenant.h"
 #include "server/client.h"
 #include "server/net.h"
@@ -158,39 +160,19 @@ TEST(ProtocolTest, FrameEncodesLittleEndianLength) {
 // ---------------------------------------------------------------------------
 // Tenant governance (deterministic, no sockets).
 
-TEST(TenantGovernorTest, GlobalCapacityRejects) {
-  safety::TenantGovernor::Options options;
-  options.max_concurrent_total = 2;
-  safety::TenantGovernor governor(options);
-  ASSERT_TRUE(governor.Admit("a").ok());
-  ASSERT_TRUE(governor.Admit("b").ok());
-  safety::AdmitReject why = safety::AdmitReject::kNone;
-  Status third = governor.Admit("c", &why);
-  EXPECT_EQ(third.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(why, safety::AdmitReject::kCapacity);
-  governor.Release("a");
-  EXPECT_TRUE(governor.Admit("c").ok());
-  EXPECT_EQ(governor.inflight_total(), 2);
-}
-
 TEST(TenantGovernorTest, FairShareSplitsTheGlobalCap) {
-  safety::TenantGovernor::Options options;
-  options.max_concurrent_total = 4;
-  safety::TenantGovernor governor(options);
-  // Alone on the box, a tenant may use everything.
+  safety::TenantGovernor governor(/*capacity=*/4);
+  // Alone on the box, a tenant may use every admission slot.
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(governor.Admit("solo").ok()) << i;
-  safety::AdmitReject why = safety::AdmitReject::kNone;
-  EXPECT_FALSE(governor.Admit("solo", &why).ok());
-  EXPECT_EQ(why, safety::AdmitReject::kCapacity);
   for (int i = 0; i < 4; ++i) governor.Release("solo");
 
   // Two active tenants: fair share is 4 / 2 = 2 each.
   ASSERT_TRUE(governor.Admit("a").ok());
   ASSERT_TRUE(governor.Admit("b").ok());
   ASSERT_TRUE(governor.Admit("a").ok());
-  Status over = governor.Admit("a", &why);
+  Status over = governor.Admit("a");
   EXPECT_EQ(over.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(why, safety::AdmitReject::kFairShare);
+  EXPECT_NE(over.message().find("fair share"), std::string::npos) << over;
   // The share grows back once the other tenant drains.
   governor.Release("b");
   EXPECT_TRUE(governor.Admit("a").ok());
@@ -198,22 +180,18 @@ TEST(TenantGovernorTest, FairShareSplitsTheGlobalCap) {
 }
 
 TEST(TenantGovernorTest, ExplicitQuotaOverridesFairShare) {
-  safety::TenantGovernor::Options options;
-  options.max_concurrent_total = 8;
-  safety::TenantGovernor governor(options);
+  safety::TenantGovernor governor(/*capacity=*/8);
   safety::TenantQuota quota;
   quota.max_concurrent = 1;
   governor.SetQuota("capped", quota);
   ASSERT_TRUE(governor.Admit("capped").ok());
-  safety::AdmitReject why = safety::AdmitReject::kNone;
-  EXPECT_FALSE(governor.Admit("capped", &why).ok());
-  EXPECT_EQ(why, safety::AdmitReject::kFairShare);
+  EXPECT_EQ(governor.Admit("capped").code(), StatusCode::kResourceExhausted);
   // Other tenants are unaffected by the capped one's ceiling.
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(governor.Admit("free").ok()) << i;
 }
 
 TEST(TenantGovernorTest, ResponseByteBackpressure) {
-  safety::TenantGovernor governor({});
+  safety::TenantGovernor governor(/*capacity=*/64);
   safety::TenantQuota quota;
   quota.max_inflight_response_bytes = 100;
   governor.SetQuota("t", quota);
@@ -231,16 +209,16 @@ TEST(TenantGovernorTest, ResponseByteBackpressure) {
 }
 
 TEST(TenantGovernorTest, AdmissionTicketReleasesOnDestruction) {
-  safety::TenantGovernor governor({});
+  safety::TenantGovernor governor(/*capacity=*/64);
   ASSERT_TRUE(governor.Admit("t").ok());
   {
     safety::AdmissionTicket ticket(&governor, "t");
-    EXPECT_EQ(governor.inflight_total(), 1);
+    EXPECT_EQ(governor.active_tenants(), 1);
   }
-  EXPECT_EQ(governor.inflight_total(), 0);
+  EXPECT_EQ(governor.active_tenants(), 0);
   // Over-release is harmless.
   governor.Release("t");
-  EXPECT_EQ(governor.inflight_total(), 0);
+  EXPECT_EQ(governor.active_tenants(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -437,17 +415,61 @@ TEST_F(QueryServiceTest, ConcurrentTenantsAllServed) {
   ExpectStillServing();
 }
 
-TEST_F(QueryServiceTest, GlobalCapacityRejectionReachesTheWire) {
-  server::ServiceOptions options;
-  options.governance.max_concurrent_total = 0;  // Everything rejected.
-  StartService(std::move(options));
+TEST_F(QueryServiceTest, DefaultServiceRunsSixtyFourRequestsAtOnce) {
+  StartService();
+  safety::AdmissionController& admission = service_->admission();
+  EXPECT_EQ(admission.options().capacity, 64);
+  // Hold 63 slots, as long-running requests would: the 64th still runs.
+  for (int i = 0; i < 63; ++i) {
+    ASSERT_EQ(admission.Admit(1).outcome, safety::AdmitOutcome::kAdmitted);
+  }
   server::Client client = Connect();
   auto response = client.Call(MakeRequest("t", "sec"));
   ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_TRUE(response->ok) << response->message;
+  for (int i = 0; i < 63; ++i) admission.Leave();
+}
+
+TEST_F(QueryServiceTest, FairShareRefusalReachesTheWire) {
+  StartService();
+  safety::TenantQuota quota;
+  quota.max_concurrent = 1;
+  service_->SetTenantQuota("capped", quota);
+  // The tenant's one slot is taken (as by a long-running request).
+  ASSERT_TRUE(service_->governor().Admit("capped").ok());
+  obs::Counter* rejects = obs::Registry::Default().GetCounter(
+      "regal_server_admission_rejects_total", {{"reason", "fair_share"}});
+  const int64_t before = rejects->value();
+  server::Client client = Connect();
+  auto response = client.Call(MakeRequest("capped", "sec"));
+  ASSERT_TRUE(response.ok()) << response.status();
   EXPECT_FALSE(response->ok);
   EXPECT_EQ(response->code, "RESOURCE_EXHAUSTED");
-  EXPECT_NE(response->message.find("capacity"), std::string::npos)
+  EXPECT_NE(response->message.find("fair share"), std::string::npos)
       << response->message;
+  EXPECT_EQ(rejects->value(), before + 1);
+  service_->governor().Release("capped");
+  ExpectStillServing();
+}
+
+// regal_server_request_latency_ms times the service side of a request
+// (admission, evaluation, row rendering), so one successful query adds
+// more to its sum than the evaluation time the wire's elapsed_ms carries.
+TEST_F(QueryServiceTest, RequestLatencyHistogramTimesTheServiceSide) {
+  StartService();
+  obs::Histogram* latency = obs::Registry::Default().GetHistogram(
+      "regal_server_request_latency_ms");
+  server::Client client = Connect();
+  const int64_t count_before = latency->count();
+  const double sum_before = latency->sum();
+  auto response = client.Call(MakeRequest("t", "para within sec"));
+  ASSERT_TRUE(response.ok()) << response.status();
+  ASSERT_TRUE(response->ok) << response->message;
+  EXPECT_EQ(latency->count(), count_before + 1);
+  // elapsed_ms crosses the wire with 9 significant digits; the margin
+  // covers that rounding and sits far below the service's own microseconds.
+  EXPECT_GT(latency->sum() - sum_before,
+            response->elapsed_ms * (1 + 1e-6) + 1e-9);
 }
 
 TEST_F(QueryServiceTest, PerRequestDeadlineIsEnforced) {
@@ -612,6 +634,24 @@ TEST_F(QueryServiceTest, AdminEndpointShowsServiceAndTenantSections) {
     EXPECT_NE(body->find(expected), std::string::npos)
         << "missing " << expected << " in:\n" << *body;
   }
+}
+
+TEST_F(QueryServiceTest, EnableAdminServerIsExclusiveAndDisableIsIdempotent) {
+  StartService();
+  ASSERT_TRUE(service_->EnableAdminServer().ok());
+  Status again = service_->EnableAdminServer();
+  EXPECT_FALSE(again.ok());
+  EXPECT_EQ(again.code(), StatusCode::kAlreadyExists);
+  service_->DisableAdminServer();
+  EXPECT_EQ(service_->admin_server(), nullptr);
+  service_->DisableAdminServer();  // No-op.
+  Status restarted = service_->EnableAdminServer();
+  EXPECT_TRUE(restarted.ok()) << restarted;
+  int status = 0;
+  auto body = admin::HttpGet("127.0.0.1", service_->admin_server()->port(),
+                             "/healthz", &status);
+  ASSERT_TRUE(body.ok()) << body.status();
+  EXPECT_EQ(status, 200);
 }
 
 }  // namespace

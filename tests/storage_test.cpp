@@ -10,6 +10,7 @@
 #include "doc/synthetic.h"
 #include "index/word_index.h"
 #include "query/parser.h"
+#include "regal1_fixtures.h"
 #include "storage/serialize.h"
 #include "storage/snapshot.h"
 #include "text/text.h"
@@ -18,32 +19,76 @@
 namespace regal {
 namespace {
 
-TEST(StorageTest, SyntheticRoundTrip) {
+// The instances the checked-in REGAL1 fixtures (tests/data/regal1) were
+// written from.
+constexpr char kSgmlFixtureSource[] =
+    "<doc><sec>alpha beta</sec><sec>gamma</sec></doc>";
+
+Instance SyntheticFixtureInstance() {
   Instance instance = MakeFigure3Instance(2);
-  Pattern p = *Pattern::Parse("q*");
   instance.SetSyntheticPattern(
-      p, RegionSet{(**instance.Get("C"))[0], (**instance.Get("A"))[1]});
+      *Pattern::Parse("q*"),
+      RegionSet{(**instance.Get("C"))[0], (**instance.Get("A"))[1]});
+  return instance;
+}
 
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveInstance(instance, buffer).ok());
-  auto loaded = LoadInstance(buffer);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
+// Whitespace in a pattern key (the phrase "new york", a bare CR) takes the
+// length-prefixed `patternb` record; the plain key keeps `pattern`.
+Instance PatternsFixtureInstance() {
+  Instance instance = MakeFigure3Instance(2);
+  instance.SetSyntheticPattern(*Pattern::Parse("new york"),
+                               RegionSet{(**instance.Get("C"))[0]});
+  instance.SetSyntheticPattern(*Pattern::Parse("a\rb"),
+                               RegionSet{(**instance.Get("A"))[0]});
+  instance.SetSyntheticPattern(*Pattern::Parse("plain*"),
+                               RegionSet{(**instance.Get("A"))[1]});
+  return instance;
+}
 
-  EXPECT_EQ(loaded->names(), instance.names());
-  for (const std::string& name : instance.names()) {
-    EXPECT_EQ(**loaded->Get(name), **instance.Get(name)) << name;
+Result<Instance> LoadFixture(const std::string& name) {
+  std::istringstream in(Regal1Fixture(name));
+  return LoadInstance(in);
+}
+
+void ExpectSameTables(const Instance& actual, const Instance& expected) {
+  EXPECT_EQ(actual.names(), expected.names());
+  for (const std::string& name : expected.names()) {
+    ASSERT_TRUE(actual.Has(name)) << name;
+    EXPECT_EQ(**actual.Get(name), **expected.Get(name)) << name;
   }
+  EXPECT_EQ(actual.synthetic_patterns(), expected.synthetic_patterns());
+  ASSERT_EQ(actual.text() != nullptr, expected.text() != nullptr);
+  if (expected.text() != nullptr) {
+    EXPECT_EQ(actual.text()->content(), expected.text()->content());
+  }
+}
+
+TEST(StorageTest, Regal1EmitterReproducesTheFixtures) {
+  EXPECT_EQ(EmitRegal1(SyntheticFixtureInstance()),
+            Regal1Fixture("synthetic.regal1"));
+  EXPECT_EQ(EmitRegal1(PatternsFixtureInstance()),
+            Regal1Fixture("patterns.regal1"));
+  EXPECT_EQ(EmitRegal1(*ParseSgml(kSgmlFixtureSource)),
+            Regal1Fixture("sgml_text.regal1"));
+  EXPECT_EQ(EmitRegal1(MakeFigure2Instance(5)),
+            Regal1Fixture("figure2.regal1"));
+}
+
+TEST(StorageTest, SyntheticRoundTrip) {
+  const Instance instance = SyntheticFixtureInstance();
+  auto loaded = LoadFixture("synthetic.regal1");
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ExpectSameTables(*loaded, instance);
   // Synthetic W survives.
+  Pattern p = *Pattern::Parse("q*");
   RegionSet c = **instance.Get("C");
   EXPECT_EQ(loaded->Select(c, p), instance.Select(c, p));
 }
 
 TEST(StorageTest, TextBackedRoundTrip) {
-  auto original = ParseSgml("<doc><sec>alpha beta</sec><sec>gamma</sec></doc>");
+  auto original = ParseSgml(kSgmlFixtureSource);
   ASSERT_TRUE(original.ok());
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveInstance(*original, buffer).ok());
-  auto loaded = LoadInstance(buffer);
+  auto loaded = LoadFixture("sgml_text.regal1");
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   ASSERT_NE(loaded->text(), nullptr);
   EXPECT_EQ(loaded->text()->content(), original->text()->content());
@@ -57,14 +102,21 @@ TEST(StorageTest, TextBackedRoundTrip) {
   EXPECT_EQ(before->size(), 1u);
 }
 
+// File-level opening sniffs the format: a REGAL1 file and a REGAL2 save of
+// the same instance both open through LoadSnapshotFromFile.
 TEST(StorageTest, FileRoundTrip) {
   Instance instance = MakeFigure2Instance(5);
+  auto legacy = storage::LoadSnapshotFromFile(
+      std::string(REGAL_TEST_DATA_DIR) + "/regal1/figure2.regal1");
+  ASSERT_TRUE(legacy.ok()) << legacy.status();
+  ExpectSameTables(*legacy, instance);
+
   std::string path = testing::TempDir() + "/regal_storage_test.regal";
-  ASSERT_TRUE(SaveInstanceToFile(instance, path).ok());
-  auto loaded = LoadInstanceFromFile(path);
+  ASSERT_TRUE(storage::SaveSnapshotToFile(instance, path).ok());
+  auto loaded = storage::LoadSnapshotFromFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->NumRegions(), instance.NumRegions());
-  EXPECT_FALSE(LoadInstanceFromFile(path + ".missing").ok());
+  ExpectSameTables(*loaded, *legacy);
+  EXPECT_FALSE(storage::LoadSnapshotFromFile(path + ".missing").ok());
 }
 
 TEST(StorageTest, MalformedInputs) {
@@ -105,65 +157,39 @@ TEST(StorageTest, HugeDeclaredCountsRejectedWithoutAllocating) {
   expect_invalid("REGAL1\npattern p:x 999999999\nend\n");
 }
 
-TEST(StorageTest, WhitespaceNameRejectedOnSave) {
-  Instance instance;
-  ASSERT_TRUE(instance.AddRegionSet("bad name", RegionSet{Region{0, 1}}).ok());
-  std::stringstream buffer;
-  EXPECT_FALSE(SaveInstance(instance, buffer).ok());
-}
-
 // A pattern cache-key can carry whitespace (phrase patterns like
-// "new york"); the length-prefixed `patternb` record must round-trip it
-// bit-identically where the legacy `pattern` record would misparse.
+// "new york"); the length-prefixed `patternb` record must load it
+// bit-identically where the `pattern` record would misparse.
 TEST(StorageTest, WhitespacePatternKeyRoundTrip) {
-  Instance instance = MakeFigure3Instance(2);
-  Pattern phrase = *Pattern::Parse("new york");
-  Pattern cr = *Pattern::Parse("a\rb");
-  Pattern plain = *Pattern::Parse("plain*");
-  instance.SetSyntheticPattern(phrase, RegionSet{(**instance.Get("C"))[0]});
-  instance.SetSyntheticPattern(cr, RegionSet{(**instance.Get("A"))[0]});
-  instance.SetSyntheticPattern(plain, RegionSet{(**instance.Get("A"))[1]});
-
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveInstance(instance, buffer).ok());
-  // Whitespace-free keys keep the legacy record.
-  EXPECT_NE(buffer.str().find("pattern " + plain.CacheKey()),
+  const std::string bytes = Regal1Fixture("patterns.regal1");
+  // Whitespace-free keys use the `pattern` record.
+  EXPECT_NE(bytes.find("pattern " + Pattern::Parse("plain*")->CacheKey()),
             std::string::npos);
-  EXPECT_NE(buffer.str().find("patternb "), std::string::npos);
+  EXPECT_NE(bytes.find("patternb "), std::string::npos);
 
-  auto loaded = LoadInstance(buffer);
+  auto loaded = LoadFixture("patterns.regal1");
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->synthetic_patterns(), instance.synthetic_patterns());
-
-  // Save -> load -> save is bit-identical.
-  std::stringstream again;
-  ASSERT_TRUE(SaveInstance(*loaded, again).ok());
-  EXPECT_EQ(again.str(), buffer.str());
+  EXPECT_EQ(loaded->synthetic_patterns(),
+            PatternsFixtureInstance().synthetic_patterns());
+  // Load -> emit reproduces the file bit for bit.
+  EXPECT_EQ(EmitRegal1(*loaded), bytes);
 }
 
 TEST(StorageTest, CrlfInputLoadsIdentically) {
   // Single-line text and whitespace-free keys, so a global \n -> \r\n
   // transform only rewrites line terminators (a multi-line payload mangled
   // by a CRLF transfer changes the payload itself; no reader can undo that).
-  auto original = ParseSgml("<doc><sec>alpha beta</sec><sec>gamma</sec></doc>");
+  auto original = ParseSgml(kSgmlFixtureSource);
   ASSERT_TRUE(original.ok());
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveInstance(*original, buffer).ok());
-
   std::string crlf;
-  for (char c : buffer.str()) {
+  for (char c : Regal1Fixture("sgml_text.regal1")) {
     if (c == '\n') crlf += '\r';
     crlf += c;
   }
   std::stringstream in(crlf);
   auto loaded = LoadInstance(in);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->names(), original->names());
-  for (const std::string& name : original->names()) {
-    EXPECT_EQ(**loaded->Get(name), **original->Get(name)) << name;
-  }
-  ASSERT_NE(loaded->text(), nullptr);
-  EXPECT_EQ(loaded->text()->content(), original->text()->content());
+  ExpectSameTables(*loaded, *original);
 }
 
 TEST(StorageTest, TruncatedPatternbKeyIsInvalidArgument) {
@@ -180,7 +206,7 @@ TEST(StorageTest, TruncatedPatternbKeyIsInvalidArgument) {
 
 // Property test: random instances — region sets of every size including
 // empty, pattern keys with spaces and CR, empty and absent text — survive
-// save -> load with all tables equal, and save -> load -> save is
+// emit -> load with all tables equal, and emit -> load -> emit is
 // bit-identical.
 TEST(StorageTest, RandomInstancesRoundTripBitIdentically) {
   const char* pattern_specs[] = {"new york", "a\rb", "word*", "?x",
@@ -222,8 +248,8 @@ TEST(StorageTest, RandomInstancesRoundTripBitIdentically) {
                         std::make_shared<SuffixArrayWordIndex>(text.get()));
     }
 
-    std::stringstream buffer;
-    ASSERT_TRUE(SaveInstance(instance, buffer).ok()) << "seed " << seed;
+    const std::string bytes = EmitRegal1(instance);
+    std::istringstream buffer(bytes);
     auto loaded = LoadInstance(buffer);
     ASSERT_TRUE(loaded.ok()) << "seed " << seed << ": " << loaded.status();
     EXPECT_EQ(loaded->names(), instance.names()) << "seed " << seed;
@@ -237,9 +263,7 @@ TEST(StorageTest, RandomInstancesRoundTripBitIdentically) {
     if (instance.text() != nullptr) {
       EXPECT_EQ(loaded->text()->content(), instance.text()->content());
     }
-    std::stringstream again;
-    ASSERT_TRUE(SaveInstance(*loaded, again).ok()) << "seed " << seed;
-    EXPECT_EQ(again.str(), buffer.str()) << "seed " << seed;
+    EXPECT_EQ(EmitRegal1(*loaded), bytes) << "seed " << seed;
 
     // Differential parity with the REGAL2 binary format: the same instance
     // through encode -> decode must agree table-for-table with the REGAL1
