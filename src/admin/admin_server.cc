@@ -132,7 +132,7 @@ void AdminServer::Stop() {
   // Wakes the blocked accept; Linux fails it with EINVAL once shut down.
   listener_.Shutdown();
   if (thread_.joinable()) thread_.join();
-  conns_.ShutdownAndJoin(SHUT_RDWR);
+  conns_.DrainAndJoin(0);
   listener_.Close();
 }
 

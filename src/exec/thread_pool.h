@@ -89,7 +89,7 @@ class ThreadPool {
   /// full round of queued work), or when the "exec.pool.saturated"
   /// failpoint fires. The engine answers saturation by evaluating
   /// sequentially instead of queueing more parallel work — see
-  /// QueryEngine::RunExpr and DESIGN.md "Resource governance".
+  /// QueryEngine::Execute and DESIGN.md "Resource governance".
   bool Saturated() const;
 
  private:

@@ -378,6 +378,23 @@ Result<QueryAnswer> QueryEngine::Run(const std::string& query, bool optimize) {
 Result<QueryAnswer> QueryEngine::Run(const std::string& query,
                                      const safety::QueryLimits& limits,
                                      bool optimize) {
+  REGAL_ASSIGN_OR_RETURN(PreparedQuery prepared,
+                         Prepare(query, limits, optimize));
+  return Execute(prepared);
+}
+
+Result<QueryAnswer> QueryEngine::RunExpr(const ExprPtr& expr, bool optimize,
+                                         bool profile) {
+  REGAL_ASSIGN_OR_RETURN(
+      PreparedQuery prepared,
+      PrepareStatement(profile ? QueryVerb::kExplainAnalyze : QueryVerb::kRun,
+                       expr, limits_, optimize));
+  return Execute(prepared);
+}
+
+Result<PreparedQuery> QueryEngine::Prepare(const std::string& query,
+                                           const safety::QueryLimits& limits,
+                                           bool optimize) {
   Result<QueryStatement> statement = ParseStatement(query);
   if (!statement.ok()) {
     // The lexer/parser admission caps (token count, nesting depth) report
@@ -391,38 +408,76 @@ Result<QueryAnswer> QueryEngine::Run(const std::string& query,
     }
     return statement.status();
   }
-  switch (statement->verb) {
-    case QueryVerb::kExplain:
-      return ExplainExpr(statement->expr, optimize);
-    case QueryVerb::kExplainAnalyze:
-      return RunExprWithLimits(statement->expr, limits, optimize,
-                               /*profile=*/true);
-    case QueryVerb::kRun:
-      break;
-  }
-  return RunExprWithLimits(statement->expr, limits, optimize,
-                           /*profile=*/false);
+  return PrepareStatement(statement->verb, statement->expr, limits, optimize);
 }
 
-bool QueryEngine::IsCacheResident(const std::string& query) {
-  Result<QueryStatement> statement = ParseStatement(query);
-  if (!statement.ok()) return false;
+Result<PreparedQuery> QueryEngine::PrepareStatement(
+    QueryVerb verb, const ExprPtr& expr, const safety::QueryLimits& limits,
+    bool optimize) {
+  PreparedQuery prepared;
+  // Shared with every other in-flight query and held until the prepared
+  // query dies; excluded against Apply / ReloadSnapshot / Checkpoint, so
+  // preparation, evaluation and rendering all see one catalog.
+  prepared.catalog_lock_ = std::shared_lock<std::shared_mutex>(*catalog_mu_);
+  prepared.verb_ = verb;
+  prepared.limits_ = limits;
+  prepared.answer_.parsed = expr;
+  ExprPtr resolved = ResolveViews(expr);
+  // Plain `explain` executes nothing: it is neither admitted nor recorded.
+  const bool executes = verb != QueryVerb::kExplain;
+  // Pre-execution rejections (unknown names, admission control) reach the
+  // flight recorder — they are exactly the queries operators get asked
+  // about. Nothing ran, so the plan is an estimate-only skeleton.
+  auto reject = [&](Status status) {
+    obs::FlightRecorder* recorder =
+        executes && telemetry_enabled_ ? flight_recorder() : nullptr;
+    if (recorder == nullptr) return status;
+    obs::QueryRecord record;
+    record.query_id = recorder->NextQueryId();
+    record.ok = false;
+    record.status = status.ToString();
+    record.status_code = StatusCodeLabel(status.code());
+    record.sampled = recorder->ShouldSample(record.query_id);
+    record.query = resolved->ToString();
+    record.plan = PlanFromExpr(resolved, stats_);
+    recorder->Record(std::move(record));
+    return status;
+  };
+  Status names_ok = CheckNames(instance_, materialized_views_, resolved);
+  if (!names_ok.ok()) return reject(std::move(names_ok));
+  if (executes && limits.Any()) {
+    Status admitted = safety::AdmitExpr(resolved, limits);
+    if (!admitted.ok()) {
+      obs::Registry::Default()
+          .GetCounter("regal_safety_queries_rejected_total",
+                      {{"reason", "complexity"}})
+          ->Increment();
+      return reject(std::move(admitted));
+    }
+  }
+  prepared.answer_.executed = resolved;
+  if (optimize) {
+    OptimizerOptions options;
+    options.stats = stats_;
+    if (rig_.has_value()) options.rig = &*rig_;
+    OptimizeOutcome outcome = Optimize(resolved, options);
+    prepared.answer_.executed = std::move(outcome.expr);
+    prepared.answer_.rewrite_rules_applied = outcome.rules_applied;
+    prepared.answer_.rewrites = std::move(outcome.rewrites);
+  }
+  return prepared;
+}
+
+bool QueryEngine::IsCacheResident(const PreparedQuery& prepared) {
   // explain / explain analyze always run machinery; only plain `run`
   // statements can be answered from warm state.
-  if (statement->verb != QueryVerb::kRun) return false;
-  std::shared_lock<std::shared_mutex> lock(*catalog_mu_);
-  ExprPtr resolved = ResolveViews(statement->expr);
-  // Mirror the execution pipeline: the evaluator caches nodes of the
-  // *optimized* expression, so residency must be probed against the same
-  // shape a real run would evaluate.
-  OptimizerOptions options;
-  options.stats = stats_;
-  if (rig_.has_value()) options.rig = &*rig_;
-  ExprPtr executed = Optimize(resolved, options).expr;
+  if (prepared.verb_ != QueryVerb::kRun) return false;
+  const ExprPtr& executed = prepared.answer_.executed;
   // A raw name scan is borrowed from the index — always warm, never in
   // the result cache (the evaluator excludes kName on purpose).
   if (executed->kind() == OpKind::kName) return true;
-  if (!result_cache_enabled_ || result_cache_ == nullptr) return false;
+  if (!result_cache_enabled_) return false;
+  // The same key the evaluator looks up first for the executed root.
   ExprCanonicalizer canonicalizer;
   ExprPtr canonical = canonicalizer.Canonical(executed);
   cache::ResultCache::Key key{instance_.id(), instance_.epoch(),
@@ -430,19 +485,20 @@ bool QueryEngine::IsCacheResident(const std::string& query) {
   return result_cache_->Lookup(key, canonical, nullptr) != nullptr;
 }
 
-Result<QueryAnswer> QueryEngine::RunExpr(const ExprPtr& expr, bool optimize,
-                                         bool profile) {
-  return RunExprWithLimits(expr, limits_, optimize, profile);
-}
-
-Result<QueryAnswer> QueryEngine::RunExprWithLimits(
-    const ExprPtr& expr, const safety::QueryLimits& limits, bool optimize,
-    bool profile) {
-  // Shared with every other in-flight query; excluded against Apply /
-  // ReloadSnapshot / Checkpoint, so the whole run sees one catalog.
-  std::shared_lock<std::shared_mutex> catalog_lock(*catalog_mu_);
-  ExprPtr resolved = ResolveViews(expr);
+Result<QueryAnswer> QueryEngine::Execute(const PreparedQuery& prepared) {
   obs::Registry& registry = obs::Registry::Default();
+  QueryAnswer answer = prepared.answer_;
+  if (prepared.verb_ == QueryVerb::kExplain) {
+    // Estimates only: nothing is executed.
+    QueryProfile query_profile;
+    query_profile.plan = PlanFromExpr(answer.executed, stats_);
+    answer.profile = std::move(query_profile);
+    registry.GetCounter("regal_queries_total", {{"verb", "explain"}})
+        ->Increment();
+    return answer;
+  }
+  const bool profile = prepared.verb_ == QueryVerb::kExplainAnalyze;
+  const safety::QueryLimits& limits = prepared.limits_;
   obs::FlightRecorder* recorder =
       telemetry_enabled_ ? flight_recorder() : nullptr;
   const uint64_t query_id =
@@ -451,50 +507,9 @@ Result<QueryAnswer> QueryEngine::RunExprWithLimits(
   // live trace for /tracez (a post-hoc decision could only rebuild an
   // estimate skeleton).
   const bool sampled = recorder != nullptr && recorder->ShouldSample(query_id);
-  // Pre-execution rejections (unknown names, admission control) also reach
-  // the flight recorder — they are exactly the queries operators get asked
-  // about. Nothing ran, so the plan is an estimate-only skeleton.
-  auto record_rejection = [&](const Status& status) {
-    if (recorder == nullptr) return;
-    obs::QueryRecord record;
-    record.query_id = query_id;
-    record.ok = false;
-    record.status = status.ToString();
-    record.status_code = StatusCodeLabel(status.code());
-    record.sampled = sampled;
-    record.query = resolved->ToString();
-    record.plan = PlanFromExpr(resolved, stats_);
-    recorder->Record(std::move(record));
-  };
-  Status names_ok = CheckNames(instance_, materialized_views_, resolved);
-  if (!names_ok.ok()) {
-    record_rejection(names_ok);
-    return names_ok;
-  }
   const bool governed = limits.Any();
   if (governed) {
-    Status admitted = safety::AdmitExpr(resolved, limits);
-    if (!admitted.ok()) {
-      registry
-          .GetCounter("regal_safety_queries_rejected_total",
-                      {{"reason", "complexity"}})
-          ->Increment();
-      record_rejection(admitted);
-      return admitted;
-    }
     registry.GetCounter("regal_safety_queries_admitted_total")->Increment();
-  }
-  QueryAnswer answer;
-  answer.parsed = expr;
-  answer.executed = resolved;
-  if (optimize) {
-    OptimizerOptions options;
-    options.stats = stats_;
-    if (rig_.has_value()) options.rig = &*rig_;
-    OptimizeOutcome outcome = Optimize(resolved, options);
-    answer.executed = outcome.expr;
-    answer.rewrite_rules_applied = outcome.rules_applied;
-    answer.rewrites = std::move(outcome.rewrites);
   }
   std::optional<obs::Tracer> tracer;
   if (profile || sampled) tracer.emplace();
@@ -641,33 +656,6 @@ Result<QueryAnswer> QueryEngine::RunExprWithLimits(
                       {{"verb", profile ? "explain_analyze" : "run"}})
       ->Increment();
   registry.GetHistogram("regal_query_latency_ms")->Observe(answer.elapsed_ms);
-  return answer;
-}
-
-Result<QueryAnswer> QueryEngine::ExplainExpr(const ExprPtr& expr,
-                                             bool optimize) {
-  std::shared_lock<std::shared_mutex> catalog_lock(*catalog_mu_);
-  ExprPtr resolved = ResolveViews(expr);
-  REGAL_RETURN_NOT_OK(CheckNames(instance_, materialized_views_, resolved));
-  QueryAnswer answer;
-  answer.parsed = expr;
-  answer.executed = resolved;
-  if (optimize) {
-    OptimizerOptions options;
-    options.stats = stats_;
-    if (rig_.has_value()) options.rig = &*rig_;
-    OptimizeOutcome outcome = Optimize(resolved, options);
-    answer.executed = outcome.expr;
-    answer.rewrite_rules_applied = outcome.rules_applied;
-    answer.rewrites = std::move(outcome.rewrites);
-  }
-  QueryProfile query_profile;
-  query_profile.plan = PlanFromExpr(answer.executed, stats_);
-  query_profile.analyzed = false;
-  answer.profile = std::move(query_profile);
-  obs::Registry::Default()
-      .GetCounter("regal_queries_total", {{"verb", "explain"}})
-      ->Increment();
   return answer;
 }
 

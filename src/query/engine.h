@@ -15,6 +15,7 @@
 #include "obs/trace.h"
 #include "opt/cost.h"
 #include "opt/optimizer.h"
+#include "query/parser.h"
 #include "recovery/durable.h"
 #include "safety/context.h"
 #include "storage/snapshot.h"
@@ -81,6 +82,29 @@ struct QueryAnswer {
   /// offset pairs (synthetic ones). At most `limit` rows. For `explain`
   /// answers the rows are the plan-tree lines instead.
   std::vector<std::string> Rows(const Instance& instance, int limit = 10) const;
+};
+
+/// A statement through the front half of the pipeline (parsed, views
+/// spliced, names checked, admitted, optimized), ready for
+/// QueryEngine::Execute. Move-only; made by QueryEngine::Prepare. It holds
+/// the engine's catalog read lock until destroyed, so the catalog it was
+/// checked against — and what an answer borrows from it, like the text
+/// QueryAnswer::Rows snippets — stays in place while it lives.
+///
+/// Do not mutate the engine (Apply and its wrappers, ReloadSnapshot,
+/// Checkpoint, view definitions) or call Run/Prepare on it again while
+/// holding a PreparedQuery on the same thread: the writer would wait on
+/// this very read lock, and a second read lock can deadlock behind it.
+class PreparedQuery {
+ private:
+  friend class QueryEngine;
+  PreparedQuery() = default;
+
+  std::shared_lock<std::shared_mutex> catalog_lock_;
+  QueryVerb verb_ = QueryVerb::kRun;
+  safety::QueryLimits limits_;
+  /// What Prepare knows of the answer: parsed, executed and the rewrites.
+  QueryAnswer answer_;
 };
 
 /// The end-to-end engine: a region catalog (instance + optional RIG/schema
@@ -191,10 +215,11 @@ class QueryEngine {
   /// conformance.
   Status Validate() const;
 
-  /// Parses and runs `query`. Unknown region names fail with NotFound
-  /// before evaluation. `optimize` toggles the rewrite pass. The statement
-  /// verbs `explain <q>` / `explain analyze <q>` return the annotated plan
-  /// in QueryAnswer::profile (the former without executing).
+  /// Parses and runs `query` (Prepare, then Execute). Unknown region names
+  /// fail with NotFound before evaluation. `optimize` toggles the rewrite
+  /// pass. The statement verbs `explain <q>` / `explain analyze <q>` return
+  /// the annotated plan in QueryAnswer::profile (the former without
+  /// executing).
   Result<QueryAnswer> Run(const std::string& query, bool optimize = true);
 
   /// As above, but the run is governed by `limits` instead of the
@@ -206,23 +231,32 @@ class QueryEngine {
                           const safety::QueryLimits& limits,
                           bool optimize = true);
 
-  /// True when `query` is a plain `run` statement answerable from warm
-  /// state: after view resolution and optimization its root is either a
-  /// raw name scan (always free — borrowed from the index) or an
-  /// expression whose canonical fingerprint is resident in the result
-  /// cache. Brownout mode serves only such queries; everything else gets
-  /// a typed kOverloaded refusal. Never evaluates anything.
-  bool IsCacheResident(const std::string& query);
+  /// Run's front half: parse -> resolve views -> check names -> admission
+  /// against `limits` (not for plain `explain`) -> optimize. Parse errors,
+  /// unknown names and over-complex expressions fail here, counted and
+  /// flight-recorded as Run reports them. Evaluates nothing and draws no
+  /// query id unless it records a rejection. See PreparedQuery.
+  Result<PreparedQuery> Prepare(const std::string& query,
+                                const safety::QueryLimits& limits,
+                                bool optimize = true);
+
+  /// Run's back half: evaluates `prepared` (from this engine) under its
+  /// limits, drawing the query id and tracing for `explain analyze`, or
+  /// builds the estimate-only plan for plain `explain`. Takes no lock: the
+  /// prepared query already holds it.
+  Result<QueryAnswer> Execute(const PreparedQuery& prepared);
+
+  /// True when `prepared` is a plain `run` statement answerable from warm
+  /// state: its executed root is a raw name scan (always free — borrowed
+  /// from the index) or has its canonical key resident in the result cache
+  /// (one lookup). Brownout mode serves only such queries; everything else
+  /// gets a typed kOverloaded refusal. Never evaluates anything.
+  bool IsCacheResident(const PreparedQuery& prepared);
 
   /// Runs an already-built expression. `profile` requests span tracing and
   /// fills QueryAnswer::profile (the `explain analyze` path).
   Result<QueryAnswer> RunExpr(const ExprPtr& expr, bool optimize = true,
                               bool profile = false);
-
-  /// Builds the estimated plan for an expression without executing it (the
-  /// `explain` path): optimizes (when requested) and annotates each node
-  /// with the cost model's cardinality estimate.
-  Result<QueryAnswer> ExplainExpr(const ExprPtr& expr, bool optimize = true);
 
   // --- Views (footnote 1 of the paper: dynamically constructed region
   // sets treated as names) ---
@@ -248,7 +282,7 @@ class QueryEngine {
   // architecture") ---
 
   /// Master switch for the parallel execution layer. When on (the default),
-  /// RunExpr installs a ParallelEvalPolicy whenever the optimizer's cost
+  /// Execute installs a ParallelEvalPolicy whenever the optimizer's cost
   /// estimate for the executed plan reaches the threshold below. Parallel
   /// and sequential execution return bit-identical answers.
   void set_parallel_enabled(bool enabled) { parallel_enabled_ = enabled; }
@@ -330,9 +364,10 @@ class QueryEngine {
  private:
   struct Checkpointer;
 
-  Result<QueryAnswer> RunExprWithLimits(const ExprPtr& expr,
-                                        const safety::QueryLimits& limits,
-                                        bool optimize, bool profile);
+  /// Prepare past the parse (RunExpr enters here).
+  Result<PreparedQuery> PrepareStatement(QueryVerb verb, const ExprPtr& expr,
+                                         const safety::QueryLimits& limits,
+                                         bool optimize);
   Status CheckViewName(const std::string& name) const;
   /// Splices expression views into `expr` (views may reference earlier
   /// views; definition-time splicing keeps this acyclic).

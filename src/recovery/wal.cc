@@ -423,8 +423,7 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(storage::Env* env,
     size = kWalHeaderSize;
   }
   writer->size_gauge_->Set(static_cast<double>(size));
-  if (writer->options_.sync == SyncPolicy::kInterval &&
-      writer->options_.background_sync) {
+  if (writer->options_.sync == SyncPolicy::kInterval) {
     writer->flusher_ = std::thread(&WalWriter::FlusherLoop, writer.get());
   }
   return writer;
@@ -485,35 +484,26 @@ Status WalWriter::MaybeSync(size_t buffered) {
   switch (options_.sync) {
     case SyncPolicy::kAlways:
       return WriteOut(/*sync=*/true);
-    case SyncPolicy::kInterval: {
-      if (flusher_.joinable()) {
-        if (buffered >= kBackpressureBytes) {
-          // Backpressure: wait for the flusher's in-flight write instead
-          // of duelling it with a second one through file_mu_ — it wakes
-          // us the moment the buffer drains.
-          std::unique_lock<std::mutex> lk(buf_mu_);
-          flusher_cv_.notify_one();
-          drained_cv_.wait(lk, [&] {
-            return !background_error_.ok() ||
-                   buffer_.size() < kBackpressureBytes;
-          });
-          return background_error_;
-        }
-        if (buffered >= kFlushBytes &&
-            flusher_idle_.load(std::memory_order_relaxed)) {
-          // Enough accumulated that waiting out the time cadence would
-          // just grow the buffer; nudge the flusher early.
-          flusher_cv_.notify_one();
-        }
-        return Status::OK();
+    case SyncPolicy::kInterval:
+      if (buffered >= kBackpressureBytes) {
+        // Backpressure: wait for the flusher's in-flight write instead of
+        // duelling it with a second one through file_mu_ — it wakes us the
+        // moment the buffer drains.
+        std::unique_lock<std::mutex> lk(buf_mu_);
+        flusher_cv_.notify_one();
+        drained_cv_.wait(lk, [&] {
+          return !background_error_.ok() ||
+                 buffer_.size() < kBackpressureBytes;
+        });
+        return background_error_;
       }
-      if (unsynced_records_.load(std::memory_order_relaxed) >=
-          options_.sync_every_records) {
-        return WriteOut(/*sync=*/true);
+      if (buffered >= kFlushBytes &&
+          flusher_idle_.load(std::memory_order_relaxed)) {
+        // Enough accumulated that waiting out the time cadence would just
+        // grow the buffer; nudge the flusher early.
+        flusher_cv_.notify_one();
       }
-      if (buffered >= kFlushBytes) return WriteOut(/*sync=*/false);
       return Status::OK();
-    }
     case SyncPolicy::kNever:
       if (buffered >= kFlushBytes) return WriteOut(/*sync=*/false);
       return Status::OK();

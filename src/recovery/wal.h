@@ -129,33 +129,24 @@ const char* SyncPolicyName(SyncPolicy policy);
 
 struct WalWriterOptions {
   SyncPolicy sync = SyncPolicy::kAlways;
-  /// For SyncPolicy::kInterval with background_sync: the flusher thread
-  /// fsyncs on this time cadence, the classic bounded-loss contract (an
-  /// fsync every few milliseconds covers however many records arrived).
-  /// A time cadence, unlike a record threshold, amortizes better the
-  /// faster mutations arrive — which is exactly when fsync pressure would
-  /// otherwise price mutations out.
+  /// For SyncPolicy::kInterval: the writer's flusher thread fsyncs on this
+  /// time cadence, the classic bounded-loss contract (an fsync every few
+  /// milliseconds covers however many records arrived). A time cadence,
+  /// unlike a record threshold, amortizes better the faster mutations
+  /// arrive — which is exactly when fsync pressure would otherwise price
+  /// mutations out. The mutating thread only appends to the in-memory
+  /// group-commit buffer and never waits on the device; memory stays
+  /// bounded because, once the buffer reaches a backpressure cap, appends
+  /// block until the flusher drains it.
   double sync_interval_ms = 5.0;
-  /// For SyncPolicy::kInterval without background_sync (inline mode):
-  /// fsync on the mutating thread once this many records accumulate since
-  /// the last sync.
-  int64_t sync_every_records = 32;
-  /// Run kInterval fsyncs on a dedicated flusher thread (the default), so
-  /// the mutating thread only appends to the in-memory group-commit buffer
-  /// and never waits on the device. Memory stays bounded: once the buffer
-  /// reaches a backpressure cap, appends block until the flusher drains
-  /// it. Disable for deterministic single-threaded fault injection — the
-  /// crash matrix counts env syscalls, and a second thread would shuffle
-  /// them.
-  bool background_sync = true;
   /// Transient-I/O retry applied to every append and sync.
   RetryPolicy retry;
 };
 
 /// Appends mutation records to a WAL file through an Env. Append / Sync /
 /// Close must come from one thread at a time (the engine serializes
-/// mutations under its catalog lock); the writer manages its own flusher
-/// thread internally when background sync is enabled.
+/// mutations under its catalog lock); under SyncPolicy::kInterval the
+/// writer manages its own flusher thread internally.
 ///
 /// Appends are encoded straight into an in-memory buffer and pushed to the
 /// file in one write per sync point (true group commit: under

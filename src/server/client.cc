@@ -85,6 +85,7 @@ Result<Response> Client::ReadResponse() {
     case FrameRead::kClosed:
       return Status::Internal("client: server closed connection");
     case FrameRead::kTimeout:
+    case FrameRead::kExpired:
       return Status::DeadlineExceeded("client: response timed out");
     case FrameRead::kTorn:
       return Status::Internal("client: connection torn mid-response");

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -52,16 +53,47 @@ bool SendAll(int fd, const char* data, size_t size) {
   return true;
 }
 
-RecvOutcome RecvFull(int fd, char* data, size_t size) {
+RecvOutcome RecvFull(int fd, char* data, size_t size, int64_t deadline_ms) {
+  using Clock = std::chrono::steady_clock;
+  // With a deadline every recv is non-blocking; waits happen in poll.
+  const int flags = deadline_ms > 0 ? MSG_DONTWAIT : 0;
+  const Clock::time_point deadline =
+      deadline_ms > 0 ? Clock::now() + std::chrono::milliseconds(deadline_ms)
+                      : Clock::time_point();
+  int64_t idle_ms = -1;  // SO_RCVTIMEO, read at the first wait.
   size_t got = 0;
   while (got < size) {
-    ssize_t n = recv(fd, data + got, size - got, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      return RecvOutcome::kTimeout;
+    ssize_t n = recv(fd, data + got, size - got, flags);
+    if (n > 0) {
+      got += static_cast<size_t>(n);
+      continue;
     }
-    if (n <= 0) return got == 0 ? RecvOutcome::kClosed : RecvOutcome::kTorn;
-    got += static_cast<size_t>(n);
+    if (n < 0 && errno == EINTR) continue;
+    if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
+      return got == 0 ? RecvOutcome::kClosed : RecvOutcome::kTorn;
+    }
+    if (deadline_ms <= 0) return RecvOutcome::kTimeout;
+    // SO_RCVTIMEO still bounds each wait: a silent peer ends at the
+    // shorter of it and the deadline, a trickler at the deadline.
+    if (idle_ms < 0) {
+      struct timeval tv = {};
+      socklen_t len = sizeof(tv);
+      idle_ms = getsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, &len) == 0
+                    ? int64_t{tv.tv_sec} * 1000 + tv.tv_usec / 1000
+                    : 0;
+    }
+    const int64_t left_ms =
+        std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now())
+            .count();
+    if (left_ms <= 0) return RecvOutcome::kExpired;
+    const bool idle_first = idle_ms > 0 && idle_ms < left_ms;
+    struct pollfd ready = {fd, POLLIN, 0};
+    const int polled =
+        poll(&ready, 1, static_cast<int>(idle_first ? idle_ms : left_ms));
+    if (polled == 0) {
+      return idle_first ? RecvOutcome::kTimeout : RecvOutcome::kExpired;
+    }
+    if (polled < 0 && errno != EINTR) return RecvOutcome::kTorn;
   }
   return RecvOutcome::kOk;
 }
@@ -227,28 +259,6 @@ bool ConnectionSet::Spawn(int fd, std::function<void(int)> handler,
   return true;
 }
 
-void ConnectionSet::ShutdownAndJoin(int how) {
-  std::vector<Conn> taken;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-    taken.swap(conns_);
-  }
-  for (Conn& conn : taken) {
-    // The fd stays open until after join, so this can never hit a reused
-    // descriptor. SHUT_RD unblocks a handler waiting in recv (it sees
-    // EOF and finishes its in-flight response); SHUT_RDWR also aborts
-    // pending sends.
-    if (!conn.done->load(std::memory_order_acquire)) shutdown(conn.fd, how);
-  }
-  for (Conn& conn : taken) {
-    conn.thread.join();
-    close(conn.fd);
-  }
-}
-
-void ConnectionSet::ShutdownAndJoin() { ShutdownAndJoin(SHUT_RD); }
-
 int ConnectionSet::DrainAndJoin(int grace_ms) {
   std::vector<Conn> taken;
   {
@@ -290,65 +300,6 @@ int ConnectionSet::DrainAndJoin(int grace_ms) {
     close(conn.fd);
   }
   return forced;
-}
-
-Watchdog::Watchdog(WatchdogOptions options) : options_(std::move(options)) {
-  thread_ = std::thread([this] { ScanLoop(); });
-}
-
-Watchdog::~Watchdog() { Stop(); }
-
-int64_t Watchdog::NowMs() const {
-  if (options_.clock_ms) return options_.clock_ms();
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-uint64_t Watchdog::Arm(int fd) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const uint64_t token = next_token_++;
-  armed_[token] = Armed{fd, NowMs() + options_.deadline_ms};
-  return token;
-}
-
-void Watchdog::Disarm(uint64_t token) {
-  std::lock_guard<std::mutex> lock(mu_);
-  armed_.erase(token);
-}
-
-void Watchdog::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) return;
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-void Watchdog::ScanLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stop_) {
-    cv_.wait_for(lock,
-                 std::chrono::milliseconds(options_.scan_interval_ms));
-    if (stop_) break;
-    const int64_t now = NowMs();
-    for (auto it = armed_.begin(); it != armed_.end();) {
-      if (now >= it->second.deadline_ms) {
-        // shutdown, never close: the fd stays allocated until the owning
-        // ConnectionSet joins the handler, so no reuse race.
-        shutdown(it->second.fd, SHUT_RDWR);
-        reaped_.fetch_add(1, std::memory_order_relaxed);
-        if (options_.reaped_counter != nullptr) {
-          options_.reaped_counter->Increment();
-        }
-        it = armed_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
 }
 
 int ConnectionSet::active() const {

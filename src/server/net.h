@@ -2,11 +2,9 @@
 #define REGAL_SERVER_NET_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -49,10 +47,14 @@ enum class RecvOutcome {
   kClosed,   ///< Peer closed before the *first* byte (clean EOF).
   kTorn,     ///< Peer closed or errored mid-read (partial data lost).
   kTimeout,  ///< SO_RCVTIMEO expired (idle peer).
+  kExpired,  ///< The whole-read deadline passed first.
 };
 
-/// Reads exactly `size` bytes, retrying EINTR.
-RecvOutcome RecvFull(int fd, char* data, size_t size);
+/// Reads exactly `size` bytes, retrying EINTR. With `deadline_ms` > 0 the
+/// whole read must finish within that long (else kExpired), however often
+/// a trickle restarts SO_RCVTIMEO; buffered bytes cost no extra syscall,
+/// and a short read waits in poll(2).
+RecvOutcome RecvFull(int fd, char* data, size_t size, int64_t deadline_ms = 0);
 
 /// Bounds both directions: SO_RCVTIMEO and SO_SNDTIMEO to `timeout_ms`.
 /// Every connection gets one so a wedged peer can never hold a handler
@@ -124,7 +126,7 @@ class Listener {
 class ConnectionSet {
  public:
   ConnectionSet() = default;
-  ~ConnectionSet() { ShutdownAndJoin(); }
+  ~ConnectionSet() { DrainAndJoin(0); }
   ConnectionSet(const ConnectionSet&) = delete;
   ConnectionSet& operator=(const ConnectionSet&) = delete;
 
@@ -134,20 +136,15 @@ class ConnectionSet {
   /// Finished handlers are reaped opportunistically on the next Spawn.
   bool Spawn(int fd, std::function<void(int)> handler, int max_connections);
 
-  /// shutdown(2)s every live connection with `how` (SHUT_RD drains:
-  /// handlers finish their in-flight response, then see EOF; SHUT_RDWR
-  /// aborts pending sends too), joins every handler thread, closes the
-  /// fds. Idempotent; new Spawns after this are refused.
-  void ShutdownAndJoin(int how /* = SHUT_RD */);
-  void ShutdownAndJoin();
-
-  /// Bounded-deadline drain: SHUT_RD everything (polite — handlers finish
-  /// the response in flight), wait up to `grace_ms` for handlers to
-  /// report done, then SHUT_RDWR the stragglers (waking handlers blocked
-  /// in send() toward a frozen peer) and join. Returns how many
-  /// connections needed the force-close — an operator-visible signal that
-  /// peers were wedged at shutdown. A frozen connection can therefore
-  /// delay Stop() by at most grace_ms plus scheduling noise, never hang it.
+  /// The one teardown path. Bounded-deadline drain: SHUT_RD everything
+  /// (polite — handlers finish the response in flight), wait up to
+  /// `grace_ms` for handlers to report done, then SHUT_RDWR the stragglers
+  /// (waking handlers blocked in send() toward a frozen peer), join every
+  /// handler thread and close the fds. Returns how many connections needed
+  /// the force-close — an operator-visible signal that peers were wedged at
+  /// shutdown. A frozen connection can therefore delay Stop() by at most
+  /// grace_ms plus scheduling noise, never hang it. `grace_ms` 0 aborts at
+  /// once. Idempotent; new Spawns after this are refused.
   int DrainAndJoin(int grace_ms);
 
   int active() const;
@@ -162,67 +159,6 @@ class ConnectionSet {
   mutable std::mutex mu_;
   std::vector<Conn> conns_;
   bool closed_ = false;
-};
-
-struct WatchdogOptions {
-  /// How long an armed fd may sit without being disarmed before the
-  /// watchdog shuts it down. Generous by design: this backstops peers
-  /// that keep the per-byte SO_RCVTIMEO alive by trickling, not normal
-  /// slow clients.
-  int64_t deadline_ms = 10000;
-  /// Scan cadence; the reap latency is deadline_ms + up to one interval.
-  int64_t scan_interval_ms = 100;
-  /// Test hook: monotonic milliseconds. Defaults to steady_clock.
-  std::function<int64_t()> clock_ms;
-  /// Incremented once per reaped connection (optional).
-  obs::Counter* reaped_counter = nullptr;
-};
-
-/// Reaps sockets stuck mid-frame. A handler arms its fd once the frame
-/// header has arrived (the peer now *owes* the payload) and disarms after
-/// the payload read returns; if the deadline lapses first, a scan thread
-/// shutdown(2)s the fd, so the blocked recv returns and the handler exits
-/// through its normal torn-frame path. shutdown() (not close()) keeps the
-/// fd number allocated — the owning ConnectionSet still closes it after
-/// join, so there is no reuse race with the scan thread.
-class Watchdog {
- public:
-  explicit Watchdog(WatchdogOptions options = {});
-  ~Watchdog();
-  Watchdog(const Watchdog&) = delete;
-  Watchdog& operator=(const Watchdog&) = delete;
-
-  /// Starts the deadline clock for `fd`. Returns a token for Disarm;
-  /// tokens are never 0, so 0 can mean "not armed" at call sites.
-  uint64_t Arm(int fd);
-  /// Stops the clock. Disarming an already-reaped (or unknown) token is a
-  /// no-op — the reap already counted.
-  void Disarm(uint64_t token);
-
-  /// Stops the scan thread. Armed entries are abandoned unreaped (their
-  /// owner is shutting down anyway). Idempotent; called by the destructor.
-  void Stop();
-
-  /// Connections shut down for overstaying their deadline.
-  int64_t reaped() const { return reaped_.load(std::memory_order_relaxed); }
-
- private:
-  void ScanLoop();
-  int64_t NowMs() const;
-
-  struct Armed {
-    int fd = -1;
-    int64_t deadline_ms = 0;
-  };
-
-  WatchdogOptions options_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  uint64_t next_token_ = 1;
-  std::map<uint64_t, Armed> armed_;
-  std::atomic<int64_t> reaped_{0};
-  std::thread thread_;
 };
 
 }  // namespace net

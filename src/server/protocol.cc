@@ -22,7 +22,7 @@ std::string EncodeFrame(std::string_view payload) {
 }
 
 FrameRead ReadFrame(int fd, uint32_t max_payload_bytes, std::string* payload,
-                    net::Watchdog* watchdog) {
+                    int64_t deadline_ms) {
   unsigned char header[kFrameHeaderBytes];
   switch (net::RecvFull(fd, reinterpret_cast<char*>(header), sizeof(header))) {
     case net::RecvOutcome::kOk:
@@ -32,6 +32,7 @@ FrameRead ReadFrame(int fd, uint32_t max_payload_bytes, std::string* payload,
     case net::RecvOutcome::kTimeout:
       return FrameRead::kTimeout;
     case net::RecvOutcome::kTorn:
+    case net::RecvOutcome::kExpired:  // No deadline on the header.
       return FrameRead::kTorn;
   }
   const uint32_t len = static_cast<uint32_t>(header[0]) |
@@ -45,17 +46,15 @@ FrameRead ReadFrame(int fd, uint32_t max_payload_bytes, std::string* payload,
   payload->resize(len);
   if (len == 0) return FrameRead::kOk;
   // SO_RCVTIMEO resets on every byte, so a one-byte-per-tick trickler can
-  // hold the payload read open forever; the watchdog deadline covers the
-  // *whole* remainder of the frame and shuts the socket down if it lapses.
-  const uint64_t token =
-      watchdog != nullptr ? watchdog->Arm(fd) : 0;
-  net::RecvOutcome outcome = net::RecvFull(fd, payload->data(), len);
-  if (watchdog != nullptr) watchdog->Disarm(token);
-  switch (outcome) {
+  // hold the payload read open forever; the deadline covers the *whole*
+  // remainder of the frame.
+  switch (net::RecvFull(fd, payload->data(), len, deadline_ms)) {
     case net::RecvOutcome::kOk:
       return FrameRead::kOk;
     case net::RecvOutcome::kTimeout:
       return FrameRead::kTimeout;
+    case net::RecvOutcome::kExpired:
+      return FrameRead::kExpired;
     default:
       // EOF inside a frame is torn whether 0 or n bytes of payload came.
       return FrameRead::kTorn;

@@ -10,9 +10,6 @@
 #include "util/status.h"
 
 namespace regal {
-namespace net {
-class Watchdog;
-}  // namespace net
 namespace server {
 
 /// The query service wire protocol: length-prefixed binary frames, each
@@ -65,15 +62,16 @@ enum class FrameRead {
   kTorn,       ///< Peer vanished mid-frame.
   kOversized,  ///< Declared length exceeds the cap; stream unrecoverable.
   kTimeout,    ///< Socket receive timeout expired (idle peer).
+  kExpired,    ///< The payload missed the frame deadline; stream abandoned.
 };
 
 /// Reads one length-prefixed frame from `fd`. On kOversized the declared
-/// length was > `max_payload_bytes` and nothing further was read. When
-/// `watchdog` is non-null the fd is armed for the payload read — a header
-/// arrived, so the peer owes the rest of the frame within the watchdog's
-/// deadline; byte-tricklers that keep resetting SO_RCVTIMEO get reaped.
+/// length was > `max_payload_bytes` and nothing further was read. With
+/// `deadline_ms` > 0 a peer that sent a header owes the whole payload
+/// within that long, or the read returns kExpired — byte-tricklers that
+/// keep resetting SO_RCVTIMEO cannot hold the reading thread.
 FrameRead ReadFrame(int fd, uint32_t max_payload_bytes, std::string* payload,
-                    net::Watchdog* watchdog = nullptr);
+                    int64_t deadline_ms = 0);
 
 /// A scalar-or-string-array JSON value — everything the wire protocol
 /// needs. Nested objects / mixed arrays are rejected at parse.

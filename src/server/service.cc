@@ -18,17 +18,12 @@ QueryService::QueryService(ServiceOptions options)
           std::make_unique<safety::AdmissionController>(options_.admission)),
       governor_(admission_->options().capacity, options_.governance) {
   obs::Registry& registry = obs::Registry::Default();
-  if (options_.frame_deadline_ms > 0) {
-    net::WatchdogOptions watchdog;
-    watchdog.deadline_ms = options_.frame_deadline_ms;
-    watchdog.reaped_counter =
-        registry.GetCounter("regal_resilience_watchdog_reaped_total");
-    watchdog_ = std::make_unique<net::Watchdog>(std::move(watchdog));
-  }
   connections_counter_ =
       registry.GetCounter("regal_server_connections_total");
   connections_active_ = registry.GetGauge("regal_server_connections_active");
   accept_errors_ = registry.GetCounter("regal_server_accept_errors_total");
+  watchdog_reaped_counter_ =
+      registry.GetCounter("regal_resilience_watchdog_reaped_total");
   bytes_received_ = registry.GetCounter("regal_server_bytes_received_total");
   bytes_sent_ = registry.GetCounter("regal_server_bytes_sent_total");
   latency_ms_ = registry.GetHistogram("regal_server_request_latency_ms");
@@ -72,7 +67,6 @@ void QueryService::Stop() {
   // Stop() is bounded even when a peer stops reading mid-response.
   const int forced = conns_.DrainAndJoin(options_.drain_grace_ms);
   forced_closes_.fetch_add(forced, std::memory_order_relaxed);
-  if (watchdog_ != nullptr) watchdog_->Stop();
   listener_.Close();
   obs::EventLog::Default().Log(
       obs::Severity::kInfo, "server", "query service stopped", 0,
@@ -228,10 +222,14 @@ void QueryService::HandleConnection(int fd) {
   };
   while (!stopping_.load(std::memory_order_relaxed)) {
     std::string payload;
-    FrameRead read =
-        ReadFrame(fd, options_.max_frame_bytes, &payload, watchdog_.get());
+    FrameRead read = ReadFrame(fd, options_.max_frame_bytes, &payload,
+                               options_.frame_deadline_ms);
     if (read == FrameRead::kClosed || read == FrameRead::kTimeout) break;
-    if (read == FrameRead::kTorn) {
+    if (read == FrameRead::kTorn || read == FrameRead::kExpired) {
+      if (read == FrameRead::kExpired) {  // Payload missed the deadline.
+        watchdog_reaped_.fetch_add(1, std::memory_order_relaxed);
+        watchdog_reaped_counter_->Increment();
+      }
       frame_error("torn");
       break;
     }
@@ -367,7 +365,27 @@ Response QueryService::Execute(const Request& request) {
   // instead of failing everything slowly.
   const bool brownout = admission_->InBrownout();
   ApplyBrownoutTransition(brownout);
-  if (brownout && !hosted->IsCacheResident(request.query)) {
+
+  // The tenant quota's per-query limits, tightened (never loosened) by the
+  // request's own deadline. Even admitted (cache-resident) work runs on a
+  // short leash while browned out: anything that turns out slow is cut,
+  // not queued.
+  safety::QueryLimits limits = governor_.QuotaFor(request.tenant).limits;
+  auto tighten = [&limits](double cap_ms) {
+    double& ms = limits.deadline_ms;
+    if (cap_ms > 0 && (ms <= 0 || cap_ms < ms)) ms = cap_ms;
+  };
+  tighten(request.deadline_ms);
+  if (brownout) tighten(options_.brownout_deadline_ms);
+
+  // Prepared once for the probe and the run. A query that can never run
+  // gets its own error here, not a retryable refusal. `prepared` holds the
+  // catalog read lock until this returns, so the rows below render from
+  // the catalog the query ran against, whatever re-bind is waiting.
+  Result<PreparedQuery> prepared = hosted->Prepare(request.query, limits);
+  if (!prepared.ok()) return fail(prepared.status());
+
+  if (brownout && !hosted->IsCacheResident(*prepared)) {
     response.retry_after_ms =
         static_cast<double>(admission_->options().interval_ms);
     registry
@@ -389,23 +407,7 @@ Response QueryService::Execute(const Request& request) {
   }
   safety::AdmissionTicket ticket(&governor_, request.tenant);
 
-  // The tenant quota's per-query limits, tightened by the request's own
-  // deadline when that is stricter.
-  safety::TenantQuota quota = governor_.QuotaFor(request.tenant);
-  safety::QueryLimits limits = quota.limits;
-  if (request.deadline_ms > 0 &&
-      (limits.deadline_ms <= 0 || request.deadline_ms < limits.deadline_ms)) {
-    limits.deadline_ms = request.deadline_ms;
-  }
-  if (brownout && options_.brownout_deadline_ms > 0 &&
-      (limits.deadline_ms <= 0 ||
-       limits.deadline_ms > options_.brownout_deadline_ms)) {
-    // Even admitted (cache-resident) work runs on a short leash while
-    // browned out: anything that turns out slow is cut, not queued.
-    limits.deadline_ms = options_.brownout_deadline_ms;
-  }
-
-  Result<QueryAnswer> answer = hosted->Run(request.query, limits);
+  Result<QueryAnswer> answer = hosted->Execute(*prepared);
   if (!answer.ok()) return fail(answer.status());
 
   response.code = "OK";

@@ -51,8 +51,9 @@ struct ServiceOptions {
   /// Stop() drain bound: handlers get this long to finish politely before
   /// their sockets are force-closed (see ConnectionSet::DrainAndJoin).
   int drain_grace_ms = 2000;
-  /// Stuck-connection watchdog: a peer that sent a frame header owes the
-  /// payload within this deadline or its socket is reaped. <= 0 disables.
+  /// Stuck-connection defense: a peer that sent a frame header owes the
+  /// payload within this deadline, or the thread reading it closes the
+  /// connection. <= 0 disables.
   int64_t frame_deadline_ms = 10000;
   /// Brownout tightens every request's effective deadline to at most this.
   double brownout_deadline_ms = 50;
@@ -77,13 +78,15 @@ struct ServiceOptions {
 ///
 /// Governance: each request takes one of the AdmissionController's slots
 /// (the global concurrency cap; over it, requests queue and CoDel sheds),
-/// then passes the TenantGovernor's fair share of those slots, executes
-/// under the tenant quota's QueryLimits (tightened further by the
-/// request's own deadline_ms), and has its response bytes charged against
-/// the tenant's in-flight byte cap before the send — the backpressure
-/// path that turns a slow-reading client into that tenant's problem
-/// instead of the box's. All rejections are typed errors the client can
-/// retry.
+/// is prepared once under the tenant quota's QueryLimits (tightened further
+/// by the request's own deadline_ms), passes the brownout probe and the
+/// TenantGovernor's fair share of those slots, executes, renders its rows
+/// under the catalog read lock it ran under, and has its response bytes
+/// charged against the tenant's in-flight byte cap before the send — the
+/// backpressure path that turns a slow-reading client into that tenant's
+/// problem instead of the box's. A query that can never run (parse error,
+/// unknown name, over the complexity caps) fails with its own error; every
+/// refusal of runnable work is a typed error the client can retry.
 ///
 /// Shutdown/drain: Stop() stops accepting, then SHUT_RDs every live
 /// connection — handlers finish the request they are executing, send its
@@ -130,9 +133,9 @@ class QueryService {
   int64_t forced_closes() const {
     return forced_closes_.load(std::memory_order_relaxed);
   }
-  /// Connections reaped by the stuck-frame watchdog.
+  /// Connections closed for missing frame_deadline_ms mid-frame.
   int64_t watchdog_reaped() const {
-    return watchdog_ != nullptr ? watchdog_->reaped() : 0;
+    return watchdog_reaped_.load(std::memory_order_relaxed);
   }
 
   /// Starts an embedded admin endpoint exposing this service's /statusz
@@ -169,8 +172,8 @@ class QueryService {
   ServiceOptions options_;
   std::unique_ptr<safety::AdmissionController> admission_;
   safety::TenantGovernor governor_;
-  std::unique_ptr<net::Watchdog> watchdog_;
   std::atomic<bool> brownout_applied_{false};
+  std::atomic<int64_t> watchdog_reaped_{0};
   std::atomic<int64_t> forced_closes_{0};
   net::Listener listener_;
   std::atomic<bool> stopping_{false};
@@ -187,6 +190,7 @@ class QueryService {
   obs::Counter* connections_counter_ = nullptr;
   obs::Gauge* connections_active_ = nullptr;
   obs::Counter* accept_errors_ = nullptr;
+  obs::Counter* watchdog_reaped_counter_ = nullptr;
   obs::Counter* bytes_received_ = nullptr;
   obs::Counter* bytes_sent_ = nullptr;
   obs::Histogram* latency_ms_ = nullptr;

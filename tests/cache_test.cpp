@@ -404,6 +404,53 @@ TEST_F(CacheTest, EngineCommutedQueryTextHits) {
   EXPECT_EQ(second->eval_stats.operator_evals, 0);
 }
 
+// Prepare and Execute are Run's two halves; the brownout probe reads the
+// prepared query instead of running the front half a second time.
+TEST_F(CacheTest, PreparedQueryProbesResidencyAndExecutesLikeRun) {
+  auto engine = DictionaryEngine();
+  ASSERT_TRUE(engine.ok());
+  const QueryLimits none;
+  // The optimizer rewrites the duplicated operand, so the prepared plan
+  // and its rewrites are worth comparing with Run's.
+  const std::string query = "(sense | sense) within entry";
+
+  // A bare name scan is borrowed from the index: resident even cold. Each
+  // PreparedQuery holds the catalog read lock, so one lives at a time.
+  {
+    auto scan = engine->Prepare("sense", none);
+    ASSERT_TRUE(scan.ok()) << scan.status();
+    EXPECT_TRUE(engine->IsCacheResident(*scan));
+  }
+  {
+    auto cold = engine->Prepare(query, none);
+    ASSERT_TRUE(cold.ok()) << cold.status();
+    EXPECT_FALSE(engine->IsCacheResident(*cold));
+  }
+  auto ran = engine->Run(query);
+  ASSERT_TRUE(ran.ok()) << ran.status();
+  ASSERT_GT(ran->rewrite_rules_applied, 0);
+  {
+    auto warm = engine->Prepare(query, none);
+    ASSERT_TRUE(warm.ok()) << warm.status();
+    EXPECT_TRUE(engine->IsCacheResident(*warm));
+    auto executed = engine->Execute(*warm);
+    ASSERT_TRUE(executed.ok()) << executed.status();
+    EXPECT_EQ(executed->regions, ran->regions);
+    EXPECT_EQ(executed->executed->ToString(), ran->executed->ToString());
+    EXPECT_EQ(executed->rewrite_rules_applied, ran->rewrite_rules_applied);
+    ASSERT_EQ(executed->rewrites.size(), ran->rewrites.size());
+    for (size_t i = 0; i < ran->rewrites.size(); ++i) {
+      EXPECT_EQ(executed->rewrites[i].ToString(), ran->rewrites[i].ToString());
+    }
+  }
+  // explain statements always run machinery: never resident, even warm.
+  for (const std::string verb : {"explain ", "explain analyze "}) {
+    auto explained = engine->Prepare(verb + query, none);
+    ASSERT_TRUE(explained.ok()) << explained.status();
+    EXPECT_FALSE(engine->IsCacheResident(*explained));
+  }
+}
+
 TEST_F(CacheTest, DisablingTheCacheStopsSeedingAndPublication) {
   auto engine = DictionaryEngine();
   ASSERT_TRUE(engine.ok());

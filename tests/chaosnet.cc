@@ -84,9 +84,9 @@ void ChaosNet::Stop() {
   if (was_stopping && !accept_thread_.joinable()) return;
   listener_.Shutdown();
   if (accept_thread_.joinable()) accept_thread_.join();
-  // SHUT_RDWR wakes client-side recv/send immediately; the upstream-side
-  // pumps notice stopping_ at their next recv timeout tick.
-  conns_.ShutdownAndJoin(SHUT_RDWR);
+  // No grace: the force-close wakes client-side recv/send immediately; the
+  // upstream-side pumps notice stopping_ at their next recv timeout tick.
+  conns_.DrainAndJoin(0);
   listener_.Close();
 }
 

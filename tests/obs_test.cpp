@@ -211,7 +211,7 @@ TEST(JsonEscapeTest, EscapesQuotesBackslashesNewlinesAndControls) {
 TEST(JsonEscapeTest, HostileStringsStillProduceValidDocuments) {
   obs::JsonWriter w;
   w.BeginObject();
-  w.Key("k\"ey\\\n").String(std::string("v\"\\\n\t\x01 caf\xc3\xa9", 14));
+  w.Key("k\"ey\\\n").String(std::string("v\"\\\n\t\x01 caf\xc3\xa9", 13));
   w.EndObject();
   std::string doc = w.Take();
   EXPECT_TRUE(ValidJson(doc)) << doc;

@@ -381,35 +381,15 @@ TEST(RetryTest, BackoffSequenceIsDeterministicAndCapped) {
   for (double ms : a) EXPECT_LE(ms, 4.0);
 }
 
-TEST(WalWriterTest, SyncPolicyIntervalBatchesFsyncs) {
-  FaultInjectionEnv env;
-  const std::string path = MakeStoreDir("sync_interval") + "/wal.log";
-  WalWriterOptions options;
-  options.sync = SyncPolicy::kInterval;
-  options.sync_every_records = 3;
-  // Inline mode: FaultInjectionEnv is single-threaded, and the inline
-  // threshold behavior is what the crash tests rely on being exact.
-  options.background_sync = false;
-  auto writer = WalWriter::Open(&env, path, 1, options);
-  ASSERT_TRUE(writer.ok());
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE((*writer)->Append(Mutation::BindText("x")).ok());
-  }
-  EXPECT_EQ((*writer)->unsynced_records(), 2);  // Below the interval.
-  ASSERT_TRUE((*writer)->Append(Mutation::BindText("y")).ok());
-  EXPECT_EQ((*writer)->unsynced_records(), 0);  // Interval reached: fsynced.
-}
-
-// The production default for kInterval: the threshold fsync runs on the
-// writer's flusher thread, so Append never waits on the device yet the
-// durability debt still drains to zero shortly after the threshold.
+// kInterval's fsyncs run on the writer's flusher thread, so Append never
+// waits on the device yet the durability debt still drains to zero shortly
+// after the cadence tick.
 TEST(WalWriterTest, IntervalBackgroundFlusherDrainsDurabilityDebt) {
   storage::Env* env = storage::Env::Default();
   const std::string path = MakeStoreDir("sync_background") + "/wal.log";
   WalWriterOptions options;
   options.sync = SyncPolicy::kInterval;
   options.sync_interval_ms = 1.0;  // Fast cadence keeps the test snappy.
-  ASSERT_TRUE(options.background_sync);  // The default, on purpose.
   auto writer = WalWriter::Open(env, path, 1, options);
   ASSERT_TRUE(writer.ok());
   for (int i = 0; i < 5; ++i) {

@@ -1,8 +1,8 @@
 // Suite for the overload-resilience subsystem (labels `resilience` and,
 // for the ChaosNet-driven tests, `chaos`): the CoDel admission controller
 // and brownout latch, backoff-jitter/retry-budget/circuit-breaker property
-// tests with deterministic seeds, the stuck-frame watchdog and bounded
-// drain, and a live service abused through the fault-injecting ChaosNet
+// tests with deterministic seeds, the frame deadline and bounded drain,
+// and a live service abused through the fault-injecting ChaosNet
 // proxy (torn frames, RSTs, freezes, byte-trickling). The breaker and
 // admission state machines are shared across threads by design, so this
 // binary belongs in the TSAN run:
@@ -488,43 +488,71 @@ TEST(AdmissionTest, CodelShedsStandingQueueAndBrownoutLatches) {
 }
 
 // ---------------------------------------------------------------------------
-// Stuck-frame watchdog and bounded drain (socket-level units; the service
+// Frame deadline and bounded drain (socket-level units; the service
 // versions run under ChaosNet below).
 
-TEST(WatchdogTest, ReapsOverdueFdAndSparesDisarmed) {
-  int reaped_pair[2];
-  int spared_pair[2];
-  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, reaped_pair), 0);
-  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, spared_pair), 0);
-  net::WatchdogOptions options;
-  options.deadline_ms = 50;
-  options.scan_interval_ms = 5;
-  net::Watchdog watchdog(options);
-
-  uint64_t overdue = watchdog.Arm(reaped_pair[0]);
-  ASSERT_NE(overdue, 0u);
-  uint64_t prompt = watchdog.Arm(spared_pair[0]);
-  watchdog.Disarm(prompt);  // Payload "arrived": clock stopped in time.
-
-  const int64_t deadline = WallMs() + 5000;
-  while (watchdog.reaped() < 1 && WallMs() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+// Writes `frame` to `fd`: the header at once, then the payload one byte
+// every `gap_ms`. Stops early once the reader has gone.
+void TrickleFrame(int fd, const std::string& frame, int gap_ms) {
+  if (!net::SendAll(fd, frame.data(), server::kFrameHeaderBytes)) return;
+  for (size_t i = server::kFrameHeaderBytes; i < frame.size(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(gap_ms));
+    if (!net::SendAll(fd, frame.data() + i, 1)) return;
   }
-  ASSERT_EQ(watchdog.reaped(), 1);
-  // The reaped fd was shutdown(2): a read now sees EOF instead of
-  // blocking forever.
-  char byte;
-  EXPECT_EQ(recv(reaped_pair[0], &byte, 1, 0), 0);
-  // The disarmed fd is untouched (recv would block: nothing to read, no
-  // EOF) — probe with MSG_DONTWAIT.
-  EXPECT_EQ(recv(spared_pair[0], &byte, 1, MSG_DONTWAIT), -1);
-  // Disarming after the reap is a harmless no-op.
-  watchdog.Disarm(overdue);
-  EXPECT_EQ(watchdog.reaped(), 1);
+}
 
-  for (int fd : {reaped_pair[0], reaped_pair[1], spared_pair[0],
-                 spared_pair[1]}) {
-    close(fd);
+TEST(FrameDeadlineTest, ReadFrameExpiresOverdueAndSparesPromptFrames) {
+  const std::string body = "{\"query\": \"para within sec\"}";
+  const std::string frame = server::EncodeFrame(body);
+  std::string payload;
+  int prompt[2], trickled[2], slow[2], silent[2];
+  for (int* pair : {prompt, trickled, slow, silent}) {
+    ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+  }
+
+  // A frame that is already buffered reads at once.
+  ASSERT_TRUE(net::SendAll(prompt[1], frame));
+  EXPECT_EQ(server::ReadFrame(prompt[0], 1024, &payload, /*deadline_ms=*/50),
+            server::FrameRead::kOk);
+  EXPECT_EQ(payload, body);
+
+  // A trickled payload keeps every per-recv timeout fresh but misses the
+  // whole-frame deadline: expired within the deadline plus slack.
+  net::SetSocketTimeouts(trickled[0], 2000);
+  std::thread trickler([&] { TrickleFrame(trickled[1], frame, 20); });
+  const int64_t start = WallMs();
+  EXPECT_EQ(server::ReadFrame(trickled[0], 1024, &payload, 50),
+            server::FrameRead::kExpired);
+  const int64_t elapsed = WallMs() - start;
+  EXPECT_GE(elapsed, 45);
+  EXPECT_LT(elapsed, 50 + 1000);
+  shutdown(trickled[0], SHUT_RDWR);  // The trickler's next send fails.
+  trickler.join();
+
+  // A deadline of 0 leaves only the socket's receive timeout: the same
+  // trickle completes...
+  net::SetSocketTimeouts(slow[0], 2000);
+  std::thread slow_sender([&] { TrickleFrame(slow[1], frame, 5); });
+  EXPECT_EQ(server::ReadFrame(slow[0], 1024, &payload, 0),
+            server::FrameRead::kOk);
+  EXPECT_EQ(payload, body);
+  slow_sender.join();
+
+  // ...and a peer silent after its header times out at that receive
+  // timeout, which also ends the wait first when it is the shorter bound.
+  net::SetSocketTimeouts(silent[0], 50);
+  ASSERT_TRUE(
+      net::SendAll(silent[1], frame.data(), server::kFrameHeaderBytes));
+  EXPECT_EQ(server::ReadFrame(silent[0], 1024, &payload, 0),
+            server::FrameRead::kTimeout);
+  ASSERT_TRUE(
+      net::SendAll(silent[1], frame.data(), server::kFrameHeaderBytes));
+  EXPECT_EQ(server::ReadFrame(silent[0], 1024, &payload, 10000),
+            server::FrameRead::kTimeout);
+
+  for (int* pair : {prompt, trickled, slow, silent}) {
+    close(pair[0]);
+    close(pair[1]);
   }
 }
 
@@ -759,6 +787,35 @@ TEST_F(ResilienceServiceTest, BrownoutServesCacheResidentQueriesOnly) {
   EXPECT_TRUE(recovered->ok) << recovered->message;
   EXPECT_FALSE(service_->admission().InBrownout());
   ExpectStillServing();
+}
+
+TEST_F(ResilienceServiceTest, BrownoutReportsUnknownNamesNotOverload) {
+  auto clock = std::make_shared<std::atomic<int64_t>>(0);
+  server::ServiceOptions options;
+  options.admission = FakeClockCodelOptions(clock);
+  StartService(std::move(options));
+  CodelHarness harness(&service_->admission());
+  DriveIntoBrownout(&service_->admission(), clock.get(), &harness);
+  ASSERT_TRUE(service_->admission().InBrownout());
+
+  auto client = server::Client::Connect("127.0.0.1", service_->port());
+  ASSERT_TRUE(client.ok()) << client.status();
+  // No retry can make an unknown region run, so the request gets its own
+  // error rather than the brownout's retryable refusal.
+  server::Request unknown = MakeRequest("brown", "nosuch within sec");
+  unknown.priority = 1;  // Above the CoDel shed line, as below.
+  auto answered = client->Call(unknown);
+  ASSERT_TRUE(answered.ok()) << answered.status();
+  EXPECT_FALSE(answered->ok);
+  EXPECT_EQ(answered->code, "NOT_FOUND") << answered->message;
+  EXPECT_EQ(answered->retry_after_ms, 0);
+
+  // Runnable cold work is still refused while browned out.
+  server::Request cold = MakeRequest("brown", "word \"alpha\"");
+  cold.priority = 1;
+  auto refused = client->Call(cold);
+  ASSERT_TRUE(refused.ok()) << refused.status();
+  EXPECT_EQ(refused->code, "OVERLOADED") << refused->message;
 }
 
 // ---------------------------------------------------------------------------

@@ -330,6 +330,42 @@ TEST_F(QueryServiceTest, RowLimitCapsRenderedRowsNotRowCount) {
   EXPECT_EQ(full->rows.size(), 3u);
 }
 
+// Rows carry snippets of the instance text, which a re-bind or reload
+// replaces (and frees) under the catalog write lock. The service renders
+// them while the query still holds the read lock, so a concurrent re-bind
+// never races the snippet read (run this under -DREGAL_SANITIZE=thread).
+TEST_F(QueryServiceTest, RowsRenderUnderTheQuerysCatalogLock) {
+  StartService();
+  std::shared_ptr<QueryEngine> hosted = service_->engine("corpus1");
+  ASSERT_NE(hosted, nullptr);
+  std::atomic<bool> done{false};
+  std::thread rebinder([&] {
+    while (!done.load()) {
+      Status bound = hosted->BindText(kDoc);
+      if (!bound.ok()) {
+        ADD_FAILURE() << bound;
+        return;
+      }
+    }
+  });
+  server::Client client = Connect();
+  // No ASSERTs until the rebinder is joined: they would return past it.
+  for (int i = 0; i < 200; ++i) {
+    auto response = client.Call(MakeRequest("reader", "para within sec"));
+    if (!response.ok()) {
+      ADD_FAILURE() << response.status();
+      break;
+    }
+    EXPECT_TRUE(response->ok) << response->message;
+    EXPECT_EQ(response->rows.size(), 3u);
+    if (response->rows.empty()) break;
+    EXPECT_NE(response->rows[0].find("alpha beta"), std::string::npos)
+        << response->rows[0];
+  }
+  done.store(true);
+  rebinder.join();
+}
+
 TEST_F(QueryServiceTest, InstanceRouting) {
   StartService();
   auto engine2 = QueryEngine::FromSgmlSource(kDoc);
