@@ -33,7 +33,7 @@ namespace regal {
 /// streams every run into one JSON document:
 ///   {"context": {...}, "benchmarks": [{"name": ..., "iterations": ...,
 ///    "real_time_ns": ..., "cpu_time_ns": ..., <user counters>...}, ...]}
-/// Times are in each run's time unit (nanoseconds for every bench here).
+/// Times are converted to nanoseconds whatever unit a bench reports in.
 /// Wrapping the console reporter (instead of using the file-reporter slot)
 /// sidesteps google-benchmark's requirement that file reporters come with an
 /// explicit --benchmark_out flag.
@@ -67,11 +67,14 @@ class BenchJsonReporter : public benchmark::BenchmarkReporter {
 
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
+      // Adjusted times come in the run's own unit (ms or us for some).
+      const double to_ns =
+          1e9 / benchmark::GetTimeUnitMultiplier(run.time_unit);
       writer_.BeginObject();
       writer_.Key("name").String(run.benchmark_name());
       writer_.Key("iterations").Int(run.iterations);
-      writer_.Key("real_time_ns").Double(run.GetAdjustedRealTime());
-      writer_.Key("cpu_time_ns").Double(run.GetAdjustedCPUTime());
+      writer_.Key("real_time_ns").Double(run.GetAdjustedRealTime() * to_ns);
+      writer_.Key("cpu_time_ns").Double(run.GetAdjustedCPUTime() * to_ns);
       for (const auto& [counter_name, counter] : run.counters) {
         writer_.Key(counter_name).Double(counter.value);
       }

@@ -3,16 +3,16 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
-#include <mutex>
 
 namespace regal {
 namespace obs {
 
 namespace {
 
-// Help lines for the always-on families, so a scrape is self-describing
-// without every registration site carrying prose. SetMetricHelp extends or
-// overrides this at runtime.
+// Help lines for every family registered in src/, so a scrape is
+// self-describing without every registration site carrying prose. The
+// metric_name_lint test (tools/check_metric_names.py) fails when a
+// registered family has no entry here or an entry has no registration.
 const std::map<std::string, std::string>& BuiltinHelp() {
   static const auto* help = new std::map<std::string, std::string>{
       {"regal_queries_total", "Queries executed, by statement verb."},
@@ -43,6 +43,8 @@ const std::map<std::string, std::string>& BuiltinHelp() {
       {"regal_exec_tasks_total", "Thread-pool chunk/task executions."},
       {"regal_exec_steals_total", "Task executions claimed by a worker."},
       {"regal_exec_parallel_ops_total", "Operator kernels run partitioned."},
+      {"regal_exec_kernel_dispatch_total",
+       "Operator kernel calls through the SIMD dispatcher, by ISA tier."},
       {"regal_cache_hits_total", "Result-cache lookups that short-circuited."},
       {"regal_cache_misses_total", "Result-cache lookups that found nothing."},
       {"regal_cache_inserts_total", "Results published to the result cache."},
@@ -78,26 +80,73 @@ const std::map<std::string, std::string>& BuiltinHelp() {
       {"regal_storage_snapshot_bytes", "Size of the last committed snapshot."},
       {"regal_storage_orphan_tmp_recovered_total",
        "Orphaned temp files removed by Recover()."},
+      {"regal_admin_accept_errors_total",
+       "accept() failures on the admin endpoint's listener."},
+      {"regal_server_connections_total", "Connections the service accepted."},
+      {"regal_server_connections_active",
+       "Connections the service is handling now."},
+      {"regal_server_connections_rejected_total",
+       "Accepted connections closed at the max_connections cap."},
+      {"regal_server_accept_errors_total",
+       "accept() failures on the service's listener."},
+      {"regal_server_frame_errors_total",
+       "Request frames refused, by kind (torn/oversized/bad_request)."},
+      {"regal_server_bytes_received_total",
+       "Request frame bytes read, headers included."},
+      {"regal_server_bytes_sent_total",
+       "Response frame bytes sent, headers included."},
+      {"regal_server_inflight_response_bytes",
+       "Response frame bytes being sent right now."},
+      {"regal_server_requests_total",
+       "Requests executed, by tenant and outcome."},
+      {"regal_server_send_errors_total",
+       "Response sends that failed (client gone or send timeout)."},
+      {"regal_server_admission_rejects_total",
+       "Requests refused by tenant governance, by reason."},
+      {"regal_resilience_admitted_total",
+       "Requests the CoDel admission controller gave a slot."},
+      {"regal_resilience_queue_depth",
+       "Requests waiting in the admission queue."},
+      {"regal_resilience_sojourn_ms",
+       "Admission-queue wait in milliseconds of requests that reached a "
+       "free slot (admitted or CoDel-shed)."},
+      {"regal_resilience_shed_total",
+       "Requests refused by admission control or brownout, by reason."},
+      {"regal_resilience_brownout_active",
+       "1 while brownout serves cache-resident queries only, else 0."},
+      {"regal_resilience_brownout_entries_total", "Times brownout began."},
+      {"regal_resilience_watchdog_reaped_total",
+       "Connections closed because a request frame missed its deadline."},
+      {"regal_resilience_budget_denied_total",
+       "Client retries the retry budget refused."},
+      {"regal_resilience_breaker_transitions_total",
+       "Client circuit-breaker state changes, by new state."},
+      {"regal_wal_records_total", "Records appended to the write-ahead log."},
+      {"regal_wal_bytes_written_total",
+       "Bytes written to the write-ahead log file."},
+      {"regal_wal_syncs_total", "fsyncs of the write-ahead log."},
+      {"regal_wal_size_bytes", "Size of the live write-ahead log file."},
+      {"regal_recovery_opens_total",
+       "Durable store opens, by outcome (clean/degraded)."},
+      {"regal_recovery_open_latency_ms",
+       "Durable store open (recovery) latency in milliseconds."},
+      {"regal_recovery_replayed_records_total",
+       "WAL records replayed over the snapshot at open."},
+      {"regal_recovery_torn_bytes_total",
+       "Torn WAL tail bytes truncated at open."},
+      {"regal_recovery_quarantines_total",
+       "Damaged files set aside as *.quarantine.<n>."},
+      {"regal_recovery_salvaged_sections_total",
+       "Damaged-snapshot sections salvage kept or dropped, by outcome."},
+      {"regal_recovery_checkpoints_total", "Checkpoints, by outcome."},
+      {"regal_recovery_retries_total",
+       "Recovery-path I/O retries and failures, by outcome (retry/recovered/"
+       "exhausted/permanent)."},
   };
   return *help;
 }
 
-std::mutex& HelpMutex() {
-  static auto* mu = new std::mutex();
-  return *mu;
-}
-
-std::map<std::string, std::string>& RuntimeHelp() {
-  static auto* help = new std::map<std::string, std::string>();
-  return *help;
-}
-
 std::string HelpFor(const std::string& name) {
-  {
-    std::lock_guard<std::mutex> lock(HelpMutex());
-    auto it = RuntimeHelp().find(name);
-    if (it != RuntimeHelp().end()) return it->second;
-  }
   auto it = BuiltinHelp().find(name);
   if (it != BuiltinHelp().end()) return it->second;
   return "regal metric (no help registered)";
@@ -200,11 +249,6 @@ std::string PrometheusEscapeHelp(std::string_view text) {
     }
   }
   return out;
-}
-
-void SetMetricHelp(const std::string& name, const std::string& help) {
-  std::lock_guard<std::mutex> lock(HelpMutex());
-  RuntimeHelp()[name] = help;
 }
 
 std::string MetricsToPrometheus(const std::vector<MetricSnapshot>& snapshot) {

@@ -31,11 +31,6 @@ std::string PrometheusEscapeHelp(std::string_view text);
 /// (admin/admin_server.cc does).
 std::string MetricsToPrometheus(const std::vector<MetricSnapshot>& snapshot);
 
-/// Registers the help string emitted on the family's `# HELP` line; the
-/// built-in regal_* families come pre-registered. Unknown families fall back
-/// to a generic line. Thread-safe; last write wins.
-void SetMetricHelp(const std::string& name, const std::string& help);
-
 }  // namespace obs
 }  // namespace regal
 

@@ -244,15 +244,21 @@ Status DurableStore::Checkpoint(const Instance& instance) {
     return status;
   };
   const uint64_t target_lsn = last_lsn_;
-  // 1. The snapshot, atomically. Crash here: old snapshot + old manifest +
+  // 1. Sync the WAL. Every record the snapshot is about to hold must be
+  // durable in the log first: otherwise a crash between steps 2 and 3
+  // replays only the synced prefix over the newer snapshot, rolling some
+  // names back and not others — a state that never existed.
+  Status synced = writer_->Sync();
+  if (!synced.ok()) return fail(synced);
+  // 2. The snapshot, atomically. Crash here: old snapshot + old manifest +
   // full WAL — recovery replays everything, as before the attempt.
   Status saved = RetryWithBackoff(
       options_.retry, /*context=*/nullptr, "checkpoint-snapshot",
       [&] { return storage::SaveSnapshotToFile(instance, SnapshotPath(),
                                                env_); });
   if (!saved.ok()) return fail(saved);
-  // 2. The manifest — the checkpoint's commit point. Crash between 1 and
-  // 2: new snapshot, old manifest; replay re-applies records the snapshot
+  // 3. The manifest — the checkpoint's commit point. Crash between 2 and
+  // 3: new snapshot, old manifest; replay re-applies records the snapshot
   // already holds, which set-to-value semantics make a no-op.
   REGAL_RETURN_NOT_OK(safety::CheckFailpoint(kFailpointCheckpointSwap));
   Status manifest = RetryWithBackoff(
@@ -261,7 +267,7 @@ Status DurableStore::Checkpoint(const Instance& instance) {
                                         EncodeManifest(target_lsn));
       });
   if (!manifest.ok()) return fail(manifest);
-  // 3. WAL reset. Crash between 2 and 3: full WAL survives but every
+  // 4. WAL reset. Crash between 3 and 4: full WAL survives but every
   // record is lsn <= manifest lsn, so replay skips it all.
   Status reset = ResetWal();
   if (!reset.ok()) return fail(reset);

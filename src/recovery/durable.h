@@ -36,7 +36,9 @@ namespace recovery {
 /// replays records with lsn > manifest lsn over the snapshot and converges
 /// to the pre-crash acknowledged state. A stale manifest only causes extra
 /// idempotent replay; a lost WAL reset only replays records the snapshot
-/// already contains.
+/// already contains. Under kInterval/kNever a crash may lose the unsynced
+/// tail, and recovery then yields a prefix of the journaled records — never
+/// a mix of older and newer values.
 struct DurableOptions {
   WalWriterOptions wal;
   /// Journaled records that trigger ShouldCheckpoint() (0 = never

@@ -7,7 +7,6 @@
 #include "obs/metrics.h"
 #include "safety/failpoint.h"
 #include "storage/checksum.h"
-#include "storage/compress.h"
 #include "storage/wire.h"
 #include "text/text.h"
 
@@ -31,158 +30,28 @@ constexpr size_t kFrameHeader = 17;
 // crc excluded: what the crc covers.
 constexpr size_t kCrcCovered = kFrameHeader - 4;
 
-// Text payloads above this raw size are refused on decode — the same
-// "don't let a corrupt length field allocate the machine" guard the
-// snapshot reader applies, relevant here because a CRC collision under the
-// bit-flip fuzz must not take the process down.
-constexpr uint64_t kMaxTextSize = static_cast<uint64_t>(1) << 31;
-
 bool ValidKind(uint8_t kind) {
   return kind >= static_cast<uint8_t>(MutationKind::kDefineRegions) &&
          kind <= static_cast<uint8_t>(MutationKind::kSetPattern);
 }
 
 // PutU32's little-endian byte order, written in place instead of appended —
-// for bulk region stores and for patching the crc and length slots once the
-// payload size is known.
+// for patching the crc and length slots once the payload size is known.
 void PatchU32(char* p, uint32_t v) {
   for (int i = 0; i < 4; ++i) p[i] = static_cast<char>(v >> (8 * i));
 }
 
-// u32 name_len, name, then the snapshot's region-list encoding (u64 count,
-// count x zigzag-varint left-delta + width), reused verbatim so the two
-// formats cannot drift. Compactness is load-bearing here, not a nicety:
-// under SyncPolicy::kInterval every journaled byte is pushed through fsync
-// on the flusher's cadence, so the WAL's byte rate — ~2-3 bytes per region
-// delta-encoded versus 8 fixed-width — is what decides whether a busy
-// mutator saturates the device and backpressures.
-// Writes `v` as a varint at `p`, returning one past the last byte — the
-// pointer-bumping twin of storage::PutVarint for pre-sized buffers, where
-// per-byte push_back capacity checks were a measured share of encode cost.
-char* EmitVarint(char* p, uint64_t v) {
-  while (v >= 0x80) {
-    *p++ = static_cast<char>(v | 0x80);
-    v >>= 7;
-  }
-  *p++ = static_cast<char>(v);
-  return p;
-}
-
-void AppendNamedRegions(std::string* out, const std::string& name,
-                        const RegionSet& regions) {
-  PutU32(out, static_cast<uint32_t>(name.size()));
-  out->append(name);
-  PutU64(out, regions.size());
-  // Resize to the worst case (two 5-byte varints per 32-bit region), emit
-  // with a bumped pointer, then trim — byte-identical to the snapshot's
-  // storage::AppendRegionList, minus the per-byte capacity checks.
-  const size_t base = out->size();
-  out->resize(base + 10 * regions.size());
-  char* p = &(*out)[base];
-  int64_t prev_left = 0;
-  for (const Region& r : regions.regions()) {
-    p = EmitVarint(p, storage::ZigZag(r.left - prev_left));
-    p = EmitVarint(p, storage::ZigZag(r.right - static_cast<int64_t>(r.left)));
-    prev_left = r.left;
-  }
-  out->resize(static_cast<size_t>(p - out->data()));
-}
-
-Status ParseNamedRegions(std::string_view payload, std::string* name,
-                         RegionSet* regions) {
-  if (payload.size() < 4) {
-    return Status::DataLoss("wal: region payload shorter than its name length");
-  }
-  const uint32_t name_len = GetU32(payload.data());
-  if (payload.size() < 4 + static_cast<size_t>(name_len) + 8) {
-    return Status::DataLoss("wal: region payload shorter than declared");
-  }
-  name->assign(payload.data() + 4, name_len);
-  const char* p = payload.data() + 4 + name_len;
-  const char* end = payload.data() + payload.size();
-  const uint64_t count = GetU64(p);
-  p += 8;
-  if (count > (static_cast<size_t>(end - p))) {
-    // Each region costs at least two varint bytes; a count larger than the
-    // remaining payload is corrupt before any varint is read. (Guards the
-    // reserve below against a CRC-colliding length bomb.)
-    return Status::DataLoss("wal: region count disagrees with payload");
-  }
-  std::vector<Region> out;
-  out.reserve(count);
-  int64_t prev_left = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t left_delta = 0;
-    uint64_t width = 0;
-    if (!storage::GetVarint(&p, end, &left_delta) ||
-        !storage::GetVarint(&p, end, &width)) {
-      return Status::DataLoss("wal: truncated region varints");
-    }
-    const int64_t left = prev_left + storage::UnZigZag(left_delta);
-    const int64_t right = left + storage::UnZigZag(width);
-    if (left < INT32_MIN || left > INT32_MAX || right < INT32_MIN ||
-        right > INT32_MAX || left > right) {
-      return Status::DataLoss("wal: region offset out of range");
-    }
-    out.push_back(Region{static_cast<Offset>(left),
-                         static_cast<Offset>(right)});
-    prev_left = left;
-  }
-  if (p != end) {
-    return Status::DataLoss("wal: trailing bytes after region list");
-  }
-  *regions = RegionSet::FromUnsorted(std::move(out));
-  return Status::OK();
-}
-
-// u8 codec (0 stored / 1 LZ), u64 raw_size, bytes — the snapshot's text
-// section encoding, reused verbatim so the formats cannot drift.
-void AppendText(std::string* out, const std::string& text) {
-  const std::string compressed = storage::LzCompress(text);
-  if (compressed.size() < text.size()) {
-    out->push_back('\x01');
-    PutU64(out, text.size());
-    out->append(compressed);
-  } else {
-    out->push_back('\x00');
-    PutU64(out, text.size());
-    out->append(text);
-  }
-}
-
-Status ParseText(std::string_view payload, std::string* text) {
-  if (payload.size() < 9) {
-    return Status::DataLoss("wal: text payload shorter than its header");
-  }
-  const uint8_t codec = static_cast<uint8_t>(payload[0]);
-  const uint64_t raw_size = GetU64(payload.data() + 1);
-  if (raw_size > kMaxTextSize) {
-    return Status::DataLoss("wal: text size out of range");
-  }
-  const std::string_view body = payload.substr(9);
-  if (codec == 0) {
-    if (body.size() != raw_size) {
-      return Status::DataLoss("wal: stored text size disagrees with payload");
-    }
-    text->assign(body);
-    return Status::OK();
-  }
-  if (codec == 1) {
-    REGAL_ASSIGN_OR_RETURN(*text, storage::LzDecompress(body, raw_size));
-    return Status::OK();
-  }
-  return Status::DataLoss("wal: unknown text codec " + std::to_string(codec));
-}
-
+// Record payloads are the two payloads storage/wire.h defines for both
+// durable formats.
 void EncodeMutationPayloadTo(std::string* out, const Mutation& m) {
   switch (m.kind) {
     case MutationKind::kDefineRegions:
     case MutationKind::kReplaceRegions:
     case MutationKind::kSetPattern:
-      AppendNamedRegions(out, m.name, m.regions);
+      storage::EncodeNamedRegions(out, m.name, m.regions);
       break;
     case MutationKind::kBindText:
-      AppendText(out, m.text);
+      storage::EncodeText(out, m.text);
       break;
   }
 }
@@ -214,16 +83,11 @@ Result<Mutation> DecodeMutationPayload(MutationKind kind,
                                        std::string_view payload) {
   Mutation m;
   m.kind = kind;
-  switch (kind) {
-    case MutationKind::kDefineRegions:
-    case MutationKind::kReplaceRegions:
-    case MutationKind::kSetPattern:
-      REGAL_RETURN_NOT_OK(ParseNamedRegions(payload, &m.name, &m.regions));
-      break;
-    case MutationKind::kBindText:
-      REGAL_RETURN_NOT_OK(ParseText(payload, &m.text));
-      break;
-  }
+  const Status decoded =
+      kind == MutationKind::kBindText
+          ? storage::DecodeText(payload, &m.text)
+          : storage::DecodeNamedRegions(payload, &m.name, &m.regions);
+  if (!decoded.ok()) return Status::DataLoss("wal: " + decoded.message());
   return m;
 }
 

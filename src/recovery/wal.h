@@ -68,17 +68,10 @@ Status ApplyMutation(Instance* instance, const Mutation& m);
 ///          u32 len       payload length                           (4)
 ///          u64 lsn       strictly increasing, never reused        (8)
 ///          u8  kind      MutationKind                             (1)
-///          payload[len]  kind-specific (storage/wire.h encoding)
-///
-/// payloads:
-///   regions/pattern: u32 name_len, name, then the snapshot's region-list
-///                    encoding (u64 count, count x zigzag-varint
-///                    left-delta + width) reused verbatim — compactness
-///                    matters because under SyncPolicy::kInterval every
-///                    journaled byte goes through fsync on the flusher's
-///                    cadence, so bytes/record sets the device bandwidth
-///                    a busy mutator demands
-///   text:            u8 codec (0 stored / 1 LZ), u64 raw_size, bytes
+///          payload[len]  kind-specific: the text payload for kBindText,
+///                        a named-region payload (the pattern cache key
+///                        as its name for kSetPattern) otherwise — both
+///                        defined once in storage/wire.h
 ///
 /// The CRC covers len, lsn, kind and payload, so a torn write, a flipped
 /// bit, or a record spliced from another log is rejected as a unit. Records

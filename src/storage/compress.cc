@@ -87,11 +87,11 @@ std::string LzCompress(std::string_view input) {
 Result<std::string> LzDecompress(std::string_view stream, uint64_t raw_size) {
   // The expansion bound makes the allocation below proportional to the
   // *input* size, so a crafted header cannot turn a small file into a
-  // multi-gigabyte reserve (the snapshot loader additionally caps raw_size
-  // at the text-offset limit).
+  // multi-gigabyte reserve (the text decoder in storage/wire.h also caps
+  // raw_size at the text-offset limit).
   if (raw_size > kMaxLzExpansion * stream.size() + 16) {
     return Status::DataLoss(
-        "corrupt snapshot: compressed text claims impossible expansion");
+        "lz stream: compressed text claims impossible expansion");
   }
   std::string out;
   out.reserve(raw_size);
@@ -113,35 +113,35 @@ Result<std::string> LzDecompress(std::string_view stream, uint64_t raw_size) {
     const uint8_t token = static_cast<uint8_t>(*p++);
     size_t literal_len = 0;
     if (!read_length(token >> 4, &literal_len)) {
-      return Status::DataLoss("corrupt snapshot: truncated literal length");
+      return Status::DataLoss("lz stream: truncated literal length");
     }
     if (static_cast<size_t>(end - p) < literal_len) {
-      return Status::DataLoss("corrupt snapshot: literals overrun stream");
+      return Status::DataLoss("lz stream: literals overrun stream");
     }
     if (out.size() + literal_len > raw_size) {
-      return Status::DataLoss("corrupt snapshot: decompressed text too long");
+      return Status::DataLoss("lz stream: decompressed text too long");
     }
     out.append(p, literal_len);
     p += literal_len;
     if (p == end) break;  // Final literals run carries no match.
 
     if (end - p < 2) {
-      return Status::DataLoss("corrupt snapshot: truncated match offset");
+      return Status::DataLoss("lz stream: truncated match offset");
     }
     const size_t offset = static_cast<uint8_t>(p[0]) |
                           (static_cast<size_t>(static_cast<uint8_t>(p[1]))
                            << 8);
     p += 2;
     if (offset == 0 || offset > out.size()) {
-      return Status::DataLoss("corrupt snapshot: match offset out of range");
+      return Status::DataLoss("lz stream: match offset out of range");
     }
     size_t match_len = 0;
     if (!read_length(token & 0xF, &match_len)) {
-      return Status::DataLoss("corrupt snapshot: truncated match length");
+      return Status::DataLoss("lz stream: truncated match length");
     }
     match_len += kMinMatch;
     if (out.size() + match_len > raw_size) {
-      return Status::DataLoss("corrupt snapshot: decompressed text too long");
+      return Status::DataLoss("lz stream: decompressed text too long");
     }
     // Byte-at-a-time: matches may overlap their own output (offset <
     // match_len repeats a period).
@@ -150,7 +150,7 @@ Result<std::string> LzDecompress(std::string_view stream, uint64_t raw_size) {
   }
   if (out.size() != raw_size) {
     return Status::DataLoss(
-        "corrupt snapshot: decompressed text shorter than declared");
+        "lz stream: decompressed text shorter than declared");
   }
   return out;
 }

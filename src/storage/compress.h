@@ -9,8 +9,8 @@
 namespace regal {
 namespace storage {
 
-/// A small dependency-free byte-oriented LZ codec (LZ4-flavored) for
-/// snapshot text sections. Durable saves pay real disk writeback for every
+/// A small dependency-free byte-oriented LZ codec (LZ4-flavored) for the
+/// text payload (storage/wire.h). Durable saves pay real disk writeback for every
 /// byte fsynced, so shrinking the payload is the main lever on save
 /// latency: SGML/dictionary corpus text typically compresses ~3x, and
 /// decompression runs at memcpy-like speed next to the word-index rebuild

@@ -8,7 +8,6 @@
 #include "index/word_index.h"
 #include "obs/metrics.h"
 #include "storage/checksum.h"
-#include "storage/compress.h"
 #include "storage/serialize.h"
 #include "storage/wire.h"
 #include "util/timer.h"
@@ -49,55 +48,11 @@ Status DataLossCounted(const char* kind, std::string message) {
   return Status::DataLoss(std::move(message));
 }
 
-// Parses a regions/pattern payload: u32 label_len, label, u64 count, then
-// count x (zigzag-varint left-delta, zigzag-varint width). The count is
-// validated against the payload size *before* the reserve — and the payload
-// itself already passed its section CRC — so no allocation is ever driven
-// by unverified bytes.
-Status ParseLabeledRegions(std::string_view payload, std::string* label,
-                           std::vector<Region>* regions) {
-  if (payload.size() < 4) {
-    return Status::DataLoss("corrupt snapshot: section payload too short");
-  }
-  const uint64_t label_len = GetU32(payload.data());
-  if (payload.size() < 4 + label_len + 8) {
-    return Status::DataLoss("corrupt snapshot: label overruns section");
-  }
-  label->assign(payload.data() + 4, label_len);
-  const uint64_t count = GetU64(payload.data() + 4 + label_len);
-  const char* p = payload.data() + 4 + label_len + 8;
-  const char* end = payload.data() + payload.size();
-  // Two varints of at least one byte each per region.
-  if (count > static_cast<uint64_t>(end - p) / 2) {
-    return Status::DataLoss(
-        "corrupt snapshot: region count disagrees with section size");
-  }
-  regions->reserve(count);
-  int64_t prev_left = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t left_delta = 0;
-    uint64_t width = 0;
-    if (!GetVarint(&p, end, &left_delta) || !GetVarint(&p, end, &width)) {
-      return Status::DataLoss("corrupt snapshot: truncated region varints");
-    }
-    const int64_t left = prev_left + UnZigZag(left_delta);
-    const int64_t right = left + UnZigZag(width);
-    if (left < INT32_MIN || left > INT32_MAX || right < INT32_MIN ||
-        right > INT32_MAX) {
-      return Status::DataLoss("corrupt snapshot: region offset out of range");
-    }
-    if (left > right) {
-      return Status::InvalidArgument("region with left > right");
-    }
-    regions->push_back(Region{static_cast<Offset>(left),
-                              static_cast<Offset>(right)});
-    prev_left = left;
-  }
-  if (p != end) {
-    return Status::DataLoss(
-        "corrupt snapshot: trailing bytes after region list");
-  }
-  return Status::OK();
+// The shared payload decoders (storage/wire.h) leave the message prefix to
+// the format reading them.
+Status Corrupt(Status status) {
+  if (status.ok()) return status;
+  return Status::DataLoss("corrupt snapshot: " + status.message());
 }
 
 struct Section {
@@ -118,21 +73,8 @@ Result<std::string> EncodeSnapshot(const Instance& instance) {
   uint64_t body_sections = 0;
   std::string payload;
   if (instance.text() != nullptr) {
-    // Text dominates snapshot size, and a durable save pays disk writeback
-    // for every byte fsynced — so the text ships LZ-compressed whenever
-    // that actually shrinks it (codec byte 1; 0 = stored raw).
-    const std::string& content = instance.text()->content();
-    const std::string compressed = LzCompress(content);
     payload.clear();
-    if (compressed.size() < content.size()) {
-      payload.push_back('\x01');
-      PutU64(&payload, content.size());
-      payload += compressed;
-    } else {
-      payload.push_back('\x00');
-      PutU64(&payload, content.size());
-      payload += content;
-    }
+    EncodeText(&payload, instance.text()->content());
     AppendSection(&out, kTagText, payload);
     ++body_sections;
   }
@@ -141,9 +83,7 @@ Result<std::string> EncodeSnapshot(const Instance& instance) {
       return Status::InvalidArgument("region name too long to encode");
     }
     payload.clear();
-    PutU32(&payload, static_cast<uint32_t>(name.size()));
-    payload += name;
-    AppendRegionList(&payload, **instance.Get(name));
+    EncodeNamedRegions(&payload, name, **instance.Get(name));
     AppendSection(&out, kTagRegions, payload);
     ++body_sections;
   }
@@ -152,9 +92,7 @@ Result<std::string> EncodeSnapshot(const Instance& instance) {
       return Status::InvalidArgument("pattern key too long to encode");
     }
     payload.clear();
-    PutU32(&payload, static_cast<uint32_t>(key.size()));
-    payload += key;
-    AppendRegionList(&payload, set);
+    EncodeNamedRegions(&payload, key, set);
     AppendSection(&out, kTagPattern, payload);
     ++body_sections;
   }
@@ -251,44 +189,20 @@ Result<Instance> DecodeSnapshot(std::string_view bytes) {
       if (text != nullptr) {
         return Status::DataLoss("corrupt snapshot: duplicate text section");
       }
-      if (section.payload.size() < 9) {
-        return Status::DataLoss("corrupt snapshot: text header too short");
-      }
-      const uint8_t codec = static_cast<uint8_t>(section.payload[0]);
-      const uint64_t raw_size = GetU64(section.payload.data() + 1);
-      // Offsets are int32, so no valid catalog can carry a larger text; the
-      // cap also bounds the decompression allocation for crafted files.
-      if (raw_size > INT32_MAX) {
-        return Status::DataLoss("corrupt snapshot: text size out of range");
-      }
-      const std::string_view body = section.payload.substr(9);
-      if (codec == 0) {
-        if (body.size() != raw_size) {
-          return Status::DataLoss(
-              "corrupt snapshot: stored text size disagrees with section");
-        }
-        text = std::make_shared<Text>(std::string(body));
-      } else if (codec == 1) {
-        REGAL_ASSIGN_OR_RETURN(std::string content,
-                               LzDecompress(body, raw_size));
-        text = std::make_shared<Text>(std::move(content));
-      } else {
-        return Status::DataLoss("corrupt snapshot: unknown text codec " +
-                                std::to_string(codec));
-      }
+      std::string content;
+      REGAL_RETURN_NOT_OK(Corrupt(DecodeText(section.payload, &content)));
+      text = std::make_shared<Text>(std::move(content));
       continue;
     }
     std::string label;
-    std::vector<Region> regions;
-    REGAL_RETURN_NOT_OK(ParseLabeledRegions(section.payload, &label,
-                                            &regions));
+    RegionSet regions;
+    REGAL_RETURN_NOT_OK(
+        Corrupt(DecodeNamedRegions(section.payload, &label, &regions)));
     if (section.tag == kTagRegions) {
-      REGAL_RETURN_NOT_OK(instance.AddRegionSet(
-          label, RegionSet::FromUnsorted(std::move(regions))));
+      REGAL_RETURN_NOT_OK(instance.AddRegionSet(label, std::move(regions)));
     } else {
       REGAL_ASSIGN_OR_RETURN(Pattern p, Pattern::FromCacheKey(label));
-      instance.SetSyntheticPattern(p,
-                                   RegionSet::FromUnsorted(std::move(regions)));
+      instance.SetSyntheticPattern(p, std::move(regions));
     }
   }
   if (text != nullptr) {
@@ -378,51 +292,26 @@ Result<Instance> SalvageSnapshot(std::string_view bytes,
   Instance instance;
   std::shared_ptr<Text> text;
   for (const Section& section : kept) {
+    Status parsed;
     if (section.tag == kTagText) {
-      if (section.payload.size() < 9) {
-        drop("salvage: text section header too short");
-        continue;
-      }
-      const uint8_t codec = static_cast<uint8_t>(section.payload[0]);
-      const uint64_t raw_size = GetU64(section.payload.data() + 1);
-      const std::string_view body = section.payload.substr(9);
-      if (raw_size > INT32_MAX) {
-        drop("salvage: text size out of range");
-        continue;
-      }
-      if (codec == 0 && body.size() == raw_size) {
-        text = std::make_shared<Text>(std::string(body));
-      } else if (codec == 1) {
-        Result<std::string> content = LzDecompress(body, raw_size);
-        if (!content.ok()) {
-          drop("salvage: text failed to decompress: " +
-               content.status().message());
-          continue;
-        }
-        text = std::make_shared<Text>(std::move(content).value());
-      } else {
-        drop("salvage: bad text codec/size");
-        continue;
-      }
+      std::string content;
+      parsed = DecodeText(section.payload, &content);
+      if (parsed.ok()) text = std::make_shared<Text>(std::move(content));
     } else {
       std::string label;
-      std::vector<Region> regions;
-      Status parsed = ParseLabeledRegions(section.payload, &label, &regions);
-      if (!parsed.ok()) {
-        drop("salvage: section payload unparsable: " + parsed.message());
-        continue;
-      }
-      if (section.tag == kTagRegions) {
-        instance.SetRegionSet(label, RegionSet::FromUnsorted(std::move(regions)));
-      } else {
+      RegionSet regions;
+      parsed = DecodeNamedRegions(section.payload, &label, &regions);
+      if (parsed.ok() && section.tag == kTagRegions) {
+        instance.SetRegionSet(label, std::move(regions));
+      } else if (parsed.ok()) {
         Result<Pattern> p = Pattern::FromCacheKey(label);
-        if (!p.ok()) {
-          drop("salvage: bad pattern key: " + p.status().message());
-          continue;
-        }
-        instance.SetSyntheticPattern(
-            *p, RegionSet::FromUnsorted(std::move(regions)));
+        parsed = p.status();
+        if (p.ok()) instance.SetSyntheticPattern(*p, std::move(regions));
       }
+    }
+    if (!parsed.ok()) {
+      drop("salvage: section payload unparsable: " + parsed.message());
+      continue;
     }
     ++report->sections_kept;
     registry

@@ -24,17 +24,12 @@ namespace storage {
 ///     u64  payload_len
 ///     payload
 ///     u32  crc32c(tag || payload_len || payload)
-///   payloads:
-///     text:    u8 codec (0 = stored, 1 = LZ — storage/compress.h),
-///              u64 raw_size, the stored or compressed text bytes
-///     regions: u32 name_len, name, u64 count, count x region
-///     pattern: u32 key_len, key, u64 count, count x region
+///   payloads (text and named regions are defined in storage/wire.h):
+///     text:    the text payload
+///     regions: a named-region payload
+///     pattern: a named-region payload named by the pattern cache key
 ///     footer:  u64 body_section_count,
 ///              u32 crc32c of every byte before the footer's tag
-///   region:    zigzag-varint(left - previous left), zigzag-varint(right -
-///              left) — region lists are sorted by left, so both deltas are
-///              small and a region typically costs 2 bytes instead of 8
-///              (smaller snapshots fsync faster)
 ///   nothing may follow the footer's trailing CRC.
 ///
 /// The footer is the commit marker: a file without a valid footer is a
@@ -54,8 +49,9 @@ namespace storage {
 ///   * "checksum mismatch ..."        a section or the file CRC failed —
 ///                                    mid-file corruption;
 ///   * "corrupt snapshot ..."         framing is structurally wrong (bad
-///                                    magic, unknown tag, payload/count
-///                                    disagreement, bytes after footer).
+///                                    magic, unknown tag, bytes after
+///                                    footer) or a payload fails its
+///                                    storage/wire.h decoder.
 /// Declared lengths are validated against the actual buffer before any
 /// allocation, so corrupt counts cannot OOM the loader.
 

@@ -6,18 +6,18 @@
 #include <string>
 #include <string_view>
 
-#include "core/region.h"
 #include "core/region_set.h"
+#include "util/status.h"
 
 namespace regal {
 namespace storage {
 
 /// Binary wire primitives shared by the REGAL2 snapshot format
 /// (storage/snapshot.cc) and the write-ahead log (recovery/wal.cc). Both
-/// formats must stay bit-identical across saves, so these helpers are the
-/// single definition of how integers, varints and region lists are framed.
-/// All fixed-width integers are little-endian (x86/arm64 linux assumed, as
-/// everywhere else in the storage layer).
+/// formats must stay bit-identical across saves, so this module is the
+/// single definition of how integers are framed and of the two payloads
+/// both formats carry. All fixed-width integers are little-endian
+/// (x86/arm64 linux assumed, as everywhere else in the storage layer).
 
 inline void PutU32(std::string* out, uint32_t v) {
   for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
@@ -39,49 +39,42 @@ inline uint64_t GetU64(const char* p) {
   return v;
 }
 
-inline void PutVarint(std::string* out, uint64_t v) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<char>(v | 0x80));
-    v >>= 7;
-  }
-  out->push_back(static_cast<char>(v));
-}
+/// --- Payloads ------------------------------------------------------------
+///
+/// The paper's instance is a text plus named region sets, and these are the
+/// two payloads a REGAL2 section or a WAL record carries. Each has exactly
+/// one encoder and one decoder, here; the callers own only the framing and
+/// checksums around them.
+///
+///   named regions:  u32 name_len, name, u64 count, then count x region
+///     region:       zigzag-varint(left - previous left, starting from 0),
+///                   zigzag-varint(right - left)
+///                   Lists are sorted by left, so both deltas are small and
+///                   a region typically costs 2 bytes instead of 8 — the
+///                   bytes every durable save and every WAL fsync pays for.
+///   text:           u8 codec (0 = stored, 1 = LZ, storage/compress.h),
+///                   u64 raw_size, then the stored or compressed bytes.
+///                   LZ is chosen whenever it is strictly smaller.
+///
+/// The decoders reject every malformed payload with kDataLoss, and validate
+/// declared sizes against the payload before allocating: a count must
+/// leave at least two bytes per region, and raw_size may not exceed
+/// INT32_MAX (offsets are int32, so no valid catalog has a larger text).
+/// Their messages carry no format prefix; callers add their own.
 
-/// Zigzag maps small-magnitude signed deltas to small unsigned varints
-/// (0,-1,1,-2 -> 0,1,2,3); region lists are sorted by left, so delta
-/// encoding makes a region cost ~2 bytes instead of 8.
-inline uint64_t ZigZag(int64_t v) {
-  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
-}
+/// Appends the named-region payload for `name` and `regions`.
+void EncodeNamedRegions(std::string* out, std::string_view name,
+                        const RegionSet& regions);
 
-inline int64_t UnZigZag(uint64_t v) {
-  return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
-}
+/// Decodes a whole named-region payload (trailing bytes are an error).
+Status DecodeNamedRegions(std::string_view payload, std::string* name,
+                          RegionSet* regions);
 
-inline bool GetVarint(const char** p, const char* end, uint64_t* v) {
-  uint64_t result = 0;
-  for (int shift = 0; shift < 64; shift += 7) {
-    if (*p == end) return false;
-    const uint8_t byte = static_cast<uint8_t>(*(*p)++);
-    result |= static_cast<uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) {
-      *v = result;
-      return true;
-    }
-  }
-  return false;  // More than 10 continuation bytes: not a valid varint.
-}
+/// Appends the text payload for `text`.
+void EncodeText(std::string* out, std::string_view text);
 
-/// u64 count, then count x (zigzag-varint left-delta, zigzag-varint width).
-inline void AppendRegionList(std::string* out, const RegionSet& set) {
-  PutU64(out, set.size());
-  int64_t prev_left = 0;
-  for (const Region& r : set) {
-    PutVarint(out, ZigZag(r.left - prev_left));
-    PutVarint(out, ZigZag(r.right - static_cast<int64_t>(r.left)));
-    prev_left = r.left;
-  }
-}
+/// Decodes a whole text payload.
+Status DecodeText(std::string_view payload, std::string* text);
 
 }  // namespace storage
 }  // namespace regal

@@ -17,7 +17,8 @@
 //    syscall x torn tails x bit flips in the torn region, reopen, and
 //    require the recovered state bit-identical to the oracle of
 //    *acknowledged* mutations — zero acknowledged-then-lost under
-//    SyncPolicy::kAlways;
+//    SyncPolicy::kAlways — and, under kNever, a crash anywhere in a
+//    checkpoint over an unsynced tail recovers a prefix of the journal;
 //  * a reload-vs-queries hammer (run under TSAN via the `recovery` label)
 //    proving queries never observe a half-swapped catalog.
 //
@@ -1029,6 +1030,81 @@ TEST(RecoveryCrashTest, RandomizedCrashLoopFuzz) {
                         std::to_string(torn) + " renames=" +
                         std::to_string(renames_survive) + " acked=" +
                         std::to_string(acked));
+  }
+}
+
+
+// Under SyncPolicy::kNever a checkpoint can start with only part of the
+// journal durable: here lsn 1 (a = A1) is synced by a clean close, while
+// lsn 2 (a = A2) and lsn 3 (define b) sit unsynced in the writer's buffer.
+// Whatever op of the script the crash lands on, recovery must yield a
+// prefix of the journal that keeps every synced record — never the synced
+// prefix replayed over a snapshot that already holds the rest, which gives
+// {a = A1, b = B1}, a state that never existed.
+TEST(RecoveryCrashTest, UnsyncedTailCrashMidCheckpointRecoversAPrefix) {
+  const std::vector<Mutation> journal = {
+      Mutation::DefineRegions("a", RegionSet{Region{0, 4}}),
+      Mutation::ReplaceRegions("a", RegionSet{Region{5, 9}}),
+      Mutation::DefineRegions("b", RegionSet{Region{10, 14}}),
+  };
+  // prefixes[k]: the catalog after the first k records.
+  std::vector<std::string> prefixes;
+  Instance state;
+  prefixes.push_back(CatalogBytes(state));
+  for (const Mutation& m : journal) {
+    ASSERT_TRUE(ApplyMutation(&state, m).ok());
+    prefixes.push_back(CatalogBytes(state));
+  }
+  DurableOptions options;
+  options.wal.sync = SyncPolicy::kNever;
+  options.retry.max_attempts = 1;  // A crashed env never recovers mid-run.
+  options.checkpoint_every_records = 0;
+  // Runs the script until the crash; returns how many leading records were
+  // durable by then.
+  auto run = [&](FaultInjectionEnv* env, const std::string& dir) -> size_t {
+    {
+      Instance opened;
+      auto store = DurableStore::Open(env, dir, options, &opened);
+      if (!store.ok() || !(*store)->Journal(journal[0]).ok() ||
+          !(*store)->Close().ok()) {
+        return 0;
+      }
+    }
+    Instance live;
+    auto store = DurableStore::Open(env, dir, options, &live);
+    if (!store.ok()) return 1;
+    for (size_t i = 1; i < journal.size(); ++i) {
+      if (!(*store)->Journal(journal[i]).ok()) return 1;
+      EXPECT_TRUE(ApplyMutation(&live, journal[i]).ok());
+    }
+    return (*store)->Checkpoint(live).ok() ? journal.size() : 1;
+  };
+
+  int64_t total_ops = 0;
+  {
+    FaultInjectionEnv env;
+    ASSERT_EQ(run(&env, MakeStoreDir("unsynced_dry")), journal.size());
+    total_ops = env.op_count();
+  }
+  for (int64_t kill = 0; kill < total_ops; ++kill) {
+    for (bool renames_survive : {false, true}) {
+      const std::string context = "kill=" + std::to_string(kill) +
+                                  " renames=" +
+                                  std::to_string(renames_survive);
+      const std::string dir = MakeStoreDir("unsynced_checkpoint");
+      FaultInjectionEnv env;
+      env.CrashAfterOps(kill);
+      const size_t synced = run(&env, dir);
+      ASSERT_TRUE(env.crashed()) << context;
+      ASSERT_TRUE(env.Recover(renames_survive).ok()) << context;
+      Instance recovered;
+      auto store = DurableStore::Open(&env, dir, options, &recovered);
+      ASSERT_TRUE(store.ok()) << context << ": " << store.status();
+      EXPECT_NE(std::find(prefixes.begin() + static_cast<ptrdiff_t>(synced),
+                          prefixes.end(), CatalogBytes(recovered)),
+                prefixes.end())
+          << context << " synced=" << synced;
+    }
   }
 }
 

@@ -10,6 +10,8 @@
 //    silently wrong instance, never a crash or unbounded allocation);
 //  * typed-failure injection through the REGAL_FAILPOINTS registry
 //    (ENOSPC, EIO, short writes, silent bit flips);
+//  * the shared payload decoders (storage/wire.h): one kDataLoss case per
+//    malformed class, which the CRC-guarded fuzzers cannot reach;
 //  * the cache-interaction invariant: reloading a snapshot swaps in a
 //    fresh instance identity, so result-cache entries can never serve
 //    answers from the pre-reload catalog.
@@ -20,8 +22,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "doc/sgml.h"
@@ -35,6 +40,7 @@
 #include "storage/fault_env.h"
 #include "storage/serialize.h"
 #include "storage/snapshot.h"
+#include "storage/wire.h"
 #include "util/random.h"
 
 namespace regal {
@@ -478,6 +484,100 @@ TEST(StorageCompressTest, MutatedStreamsNeverCrashTheDecoder) {
     auto decoded = LzDecompress(mutated, raw_size);
     if (decoded.ok()) EXPECT_EQ(decoded->size(), raw_size);
   }
+}
+
+// --- The shared payload codec (storage/wire.h) ----------------------------
+
+// A named-region payload with a hand-written region body, for the
+// malformed cases.
+std::string RegionPayload(std::string_view name, uint64_t count,
+                          std::string_view body) {
+  std::string out;
+  PutU32(&out, static_cast<uint32_t>(name.size()));
+  out.append(name);
+  PutU64(&out, count);
+  out.append(body);
+  return out;
+}
+
+std::string TextPayload(char codec, uint64_t raw_size, std::string_view body) {
+  std::string out(1, codec);
+  PutU64(&out, raw_size);
+  out.append(body);
+  return out;
+}
+
+TEST(StorageWireTest, PayloadsRoundTrip) {
+  const std::vector<std::pair<std::string, RegionSet>> lists = {
+      {"", RegionSet{}},
+      {"sec", RegionSet{Region{-5, 3}, Region{0, 10}, Region{7, 7},
+                        Region{100, 70000}}},
+      {"p:alp*", RegionSet{Region{INT32_MIN, INT32_MAX}}},
+  };
+  for (const auto& [name, regions] : lists) {
+    std::string payload;
+    EncodeNamedRegions(&payload, name, regions);
+    std::string got_name = "stale";
+    RegionSet got;
+    ASSERT_TRUE(DecodeNamedRegions(payload, &got_name, &got).ok()) << name;
+    EXPECT_EQ(got_name, name);
+    EXPECT_EQ(got, regions) << name;
+  }
+  // Codec 1 only when LZ is strictly smaller; stored otherwise.
+  const std::vector<std::pair<std::string, char>> texts = {
+      {"", '\x00'},
+      {"ab", '\x00'},
+      {"alpha beta alpha beta alpha beta alpha beta", '\x01'},
+  };
+  for (const auto& [text, codec] : texts) {
+    std::string payload;
+    EncodeText(&payload, text);
+    EXPECT_EQ(payload[0], codec) << text;
+    std::string got = "stale";
+    ASSERT_TRUE(DecodeText(payload, &got).ok()) << text;
+    EXPECT_EQ(got, text);
+  }
+}
+
+// One case per malformed class; `why` is a fragment of the message that
+// class must produce, so no case passes by tripping an earlier check.
+TEST(StorageWireTest, EveryMalformedPayloadIsDataLoss) {
+  auto region_list = [](const std::string& payload, const std::string& why) {
+    std::string name;
+    RegionSet regions;
+    const Status status = DecodeNamedRegions(payload, &name, &regions);
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << why << ": " << status;
+    EXPECT_NE(status.message().find(why), std::string::npos) << status;
+  };
+  region_list("abc", "shorter than its name length");
+  std::string overrun;
+  PutU32(&overrun, 100);
+  overrun += "short name and no count";
+  region_list(overrun, "name overruns");
+  region_list(RegionPayload("r", 3, std::string(5, '\0')), "count exceeds");
+  region_list(RegionPayload("r", 1, "\x80\x80"), "truncated region varints");
+  // Left delta zigzag(2^31) = 2^32: a left one past INT32_MAX.
+  region_list(RegionPayload("r", 1, std::string("\x80\x80\x80\x80\x10\x00", 6)),
+              "offset out of range");
+  // Left 10 (zigzag 20), width -1 (zigzag 1).
+  region_list(RegionPayload("r", 1, "\x14\x01"), "left > right");
+  region_list(RegionPayload("r", 1, std::string("\x14\x02\x00", 3)),
+              "trailing bytes");
+
+  auto text = [](const std::string& payload, const std::string& why) {
+    std::string out;
+    const Status status = DecodeText(payload, &out);
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << why << ": " << status;
+    EXPECT_NE(status.message().find(why), std::string::npos) << status;
+  };
+  text(std::string("\x00\x01", 2), "shorter than its header");
+  text(TextPayload('\x02', 0, ""), "unknown text codec");
+  text(TextPayload('\x00', 5, "abc"), "stored text size");
+  // A stream long enough that only the INT32_MAX cap, not the LZ
+  // expansion bound, refuses the claimed size.
+  text(TextPayload('\x01', uint64_t{INT32_MAX} + 1, std::string(1 << 24, 'x')),
+       "text size out of range");
+  text(TextPayload('\x01', 4, "\x40"), "lz stream");
 }
 
 // --- Cache interaction on reload ------------------------------------------

@@ -3,6 +3,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/eval.h"
@@ -334,6 +335,54 @@ TEST(StorageTest, BindTextOrderIsObservationallyEquivalent) {
     ASSERT_TRUE(last.ok()) << query << ": " << last.status();
     EXPECT_EQ(*first, *last) << query;
   }
+}
+
+
+// REGAL2 known-answer vector: the bytes of one fixed instance, pinned so
+// neither the section framing nor the storage/wire.h payloads can drift.
+// The instance has an LZ-compressed text, a region set with multi-byte
+// varints, an empty region set and a synthetic pattern.
+constexpr char kRegal2KnownAnswerHex[] =
+    "524547414c320001011e00000000000000012600000000000000bf616c70686120626574"
+    "61200b00035067616d6d61c1285456021500000000000000030000007365630300000000"
+    "00000000141614161e71e790da02110000000000000005000000656d7074790000000000"
+    "00000078a1e4a702120000000000000003000000646f63010000000000000000d804e88b"
+    "599503160000000000000006000000733a616c702a020000000000000000081608967607"
+    "707f0c00000000000000050000000000000007ea4efee5c639bc";
+
+std::string ToHex(std::string_view bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (unsigned char c : bytes) {
+    hex.push_back(kDigits[c >> 4]);
+    hex.push_back(kDigits[c & 15]);
+  }
+  return hex;
+}
+
+TEST(StorageTest, Regal2KnownAnswerVector) {
+  auto text = std::make_shared<Text>("alpha beta alpha beta alpha beta gamma");
+  Instance instance;
+  instance.BindText(text, std::make_shared<SuffixArrayWordIndex>(text.get()));
+  ASSERT_TRUE(instance
+                  .AddRegionSet("sec", RegionSet{Region{0, 10}, Region{11, 21},
+                                                 Region{22, 37}})
+                  .ok());
+  ASSERT_TRUE(instance.AddRegionSet("empty", RegionSet{}).ok());
+  ASSERT_TRUE(instance.AddRegionSet("doc", RegionSet{Region{0, 300}}).ok());
+  instance.SetSyntheticPattern(*Pattern::Parse("alp*"),
+                               RegionSet{Region{0, 4}, Region{11, 15}});
+
+  auto encoded = storage::EncodeSnapshot(instance);
+  ASSERT_TRUE(encoded.ok()) << encoded.status();
+  // The text section comes first; its payload's codec byte says LZ.
+  ASSERT_GT(encoded->size(), 17u);
+  EXPECT_EQ((*encoded)[17], '\x01');
+  EXPECT_EQ(ToHex(*encoded), kRegal2KnownAnswerHex);
+
+  auto decoded = storage::DecodeSnapshot(*encoded);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  ExpectSameTables(*decoded, instance);
 }
 
 }  // namespace

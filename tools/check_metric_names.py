@@ -18,7 +18,11 @@ with these rules:
   * histograms end in a recognized unit suffix (_ms, _us, _s, _seconds,
     _bytes, _ratio) so the bucket bounds are interpretable;
   * one name is registered as exactly one kind — the same string must not
-    appear as both a counter and a gauge anywhere in the tree.
+    appear as both a counter and a gauge anywhere in the tree;
+  * every registered name has a HELP entry in the BuiltinHelp() table
+    (obs/prometheus.cc), and every entry there names a registered metric,
+    so a scrape never falls back to "no help registered" and the table
+    cannot keep prose for a family that is gone.
 
 Usage: check_metric_names.py <source-dir> [<source-dir>...]
 Exits non-zero and prints one line per violation (file:line: message).
@@ -50,6 +54,8 @@ KNOWN_SUBSYSTEMS = frozenset({
     "wal",        # recovery/wal.h (write-ahead log)
 })
 SOURCE_EXTENSIONS = (".cc", ".h", ".cpp", ".hpp")
+HELP_TABLE = re.compile(r"BuiltinHelp\(\)\s*\{(.*?)\n\s*\};", re.DOTALL)
+HELP_ENTRY = re.compile(r'\{\s*"([^"]*)",')
 
 
 def find_sources(roots):
@@ -70,10 +76,18 @@ def main(argv):
     errors = []
     # name -> (kind, first registration site), for duplicate-kind detection.
     kinds = {}
+    # name -> site of its BuiltinHelp() entry.
+    help_sites = {}
+    help_tables = 0
     registrations = 0
     for path in find_sources(argv[1:]):
         with open(path, encoding="utf-8") as f:
             text = f.read()
+        for table in HELP_TABLE.finditer(text):
+            help_tables += 1
+            for entry in HELP_ENTRY.finditer(table.group(1)):
+                line = text.count("\n", 0, table.start(1) + entry.start()) + 1
+                help_sites.setdefault(entry.group(1), f"{path}:{line}")
         for match in REGISTRATION.finditer(text):
             kind, name = match.group(1), match.group(2)
             line = text.count("\n", 0, match.start()) + 1
@@ -112,6 +126,19 @@ def main(argv):
                     f"{site}: '{name}' registered as {kind} but as "
                     f"{previous[0]} at {previous[1]}")
 
+    if help_tables == 0:
+        errors.append("no BuiltinHelp() table found (obs/prometheus.cc)")
+    else:
+        for name, (_, site) in sorted(kinds.items()):
+            if name not in help_sites:
+                errors.append(
+                    f"{site}: '{name}' has no HELP entry in BuiltinHelp() "
+                    "(obs/prometheus.cc)")
+        for name, site in sorted(help_sites.items()):
+            if name not in kinds:
+                errors.append(
+                    f"{site}: HELP entry '{name}' names no registered metric")
+
     for error in errors:
         print(error)
     if errors:
@@ -119,7 +146,7 @@ def main(argv):
               f"{registrations} registration(s)")
         return 1
     print(f"check_metric_names: OK — {registrations} registration(s), "
-          f"{len(kinds)} metric name(s)")
+          f"{len(kinds)} metric name(s), each with HELP text")
     return 0
 
 
