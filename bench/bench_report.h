@@ -33,7 +33,10 @@ namespace regal {
 /// streams every run into one JSON document:
 ///   {"context": {...}, "benchmarks": [{"name": ..., "iterations": ...,
 ///    "real_time_ns": ..., "cpu_time_ns": ..., <user counters>...}, ...]}
-/// Times are converted to nanoseconds whatever unit a bench reports in.
+/// Times are converted to nanoseconds whatever unit a bench reports in. A
+/// coefficient-of-variation aggregate (the `_cv` row of a repeated bench) is
+/// a ratio, not a time: it carries `"cv": <real-time CV>` instead of the two
+/// time fields.
 /// Wrapping the console reporter (instead of using the file-reporter slot)
 /// sidesteps google-benchmark's requirement that file reporters come with an
 /// explicit --benchmark_out flag.
@@ -73,8 +76,14 @@ class BenchJsonReporter : public benchmark::BenchmarkReporter {
       writer_.BeginObject();
       writer_.Key("name").String(run.benchmark_name());
       writer_.Key("iterations").Int(run.iterations);
-      writer_.Key("real_time_ns").Double(run.GetAdjustedRealTime() * to_ns);
-      writer_.Key("cpu_time_ns").Double(run.GetAdjustedCPUTime() * to_ns);
+      if (run.aggregate_unit == benchmark::kPercentage) {
+        // The statistic itself, unscaled by iterations or time unit (the
+        // console prints it as a percentage from the same field).
+        writer_.Key("cv").Double(run.real_accumulated_time);
+      } else {
+        writer_.Key("real_time_ns").Double(run.GetAdjustedRealTime() * to_ns);
+        writer_.Key("cpu_time_ns").Double(run.GetAdjustedCPUTime() * to_ns);
+      }
       for (const auto& [counter_name, counter] : run.counters) {
         writer_.Key(counter_name).Double(counter.value);
       }

@@ -324,7 +324,10 @@ void BM_OverloadGoodput(benchmark::State& state) {
     service->Stop();
   }
 }
-BENCHMARK(BM_OverloadGoodput)->Iterations(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_OverloadGoodput)
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_ShedFastPath(benchmark::State& state) {
   server::ServiceOptions options;
@@ -375,7 +378,10 @@ void BM_ShedFastPath(benchmark::State& state) {
 // Fixed iteration count: the function builds a service per invocation,
 // so google-benchmark's usual iteration probing would rebuild it over
 // and over for nothing.
-BENCHMARK(BM_ShedFastPath)->Iterations(5000)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ShedFastPath)
+    ->Iterations(5000)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace regal

@@ -137,7 +137,7 @@ void BM_ConcurrentTenants(benchmark::State& state) {
   }
   FinishCounters(state, sink, wall.Seconds());
 }
-BENCHMARK(BM_ConcurrentTenants)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ConcurrentTenants)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_ConcurrentTenantsWithChaos(benchmark::State& state) {
   auto service = StartLoadedService();
@@ -180,7 +180,9 @@ void BM_ConcurrentTenantsWithChaos(benchmark::State& state) {
   if (!response.ok() || !response->ok) std::abort();
   FinishCounters(state, sink, elapsed_s);
 }
-BENCHMARK(BM_ConcurrentTenantsWithChaos)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ConcurrentTenantsWithChaos)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_SingleClient(benchmark::State& state) {
   auto service = StartLoadedService();
@@ -197,7 +199,7 @@ void BM_SingleClient(benchmark::State& state) {
     benchmark::DoNotOptimize(response->row_count);
   }
 }
-BENCHMARK(BM_SingleClient)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SingleClient)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 }  // namespace regal

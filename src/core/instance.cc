@@ -70,10 +70,9 @@ size_t Instance::NumRegions() const {
   return total;
 }
 
-void Instance::BindText(std::shared_ptr<const Text> text,
-                        std::shared_ptr<const WordIndex> index) {
+void Instance::BindText(std::shared_ptr<const Text> text) {
   text_ = std::move(text);
-  word_index_ = std::move(index);
+  word_index_ = std::make_shared<SuffixArrayWordIndex>(text_.get());
   ++epoch_;  // Selections and word matches now answer differently.
 }
 

@@ -87,9 +87,9 @@ class Instance {
   /// Total number of regions across all names.
   size_t NumRegions() const;
 
-  /// Binds text content: W(r, p) is answered by `index` over `text`.
-  void BindText(std::shared_ptr<const Text> text,
-                std::shared_ptr<const WordIndex> index);
+  /// Binds text content: builds a SuffixArrayWordIndex over `text`, which
+  /// then answers W(r, p).
+  void BindText(std::shared_ptr<const Text> text);
 
   /// Declares, in synthetic mode, the exact set of regions for which
   /// W(r, p) holds. Regions must belong to the instance.

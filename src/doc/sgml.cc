@@ -55,9 +55,7 @@ Result<Instance> ParseSgml(const std::string& source) {
   for (auto& [name, regions] : sets) {
     instance.SetRegionSet(name, RegionSet::FromUnsorted(std::move(regions)));
   }
-  auto text = std::make_shared<Text>(source);
-  auto index = std::make_shared<SuffixArrayWordIndex>(text.get());
-  instance.BindText(text, std::move(index));
+  instance.BindText(std::make_shared<Text>(source));
   return instance;
 }
 

@@ -128,9 +128,7 @@ class ProgramParser {
                              "Proc_header", "Proc_body", "Var", "Name"}) {
       if (!instance.Has(name)) instance.SetRegionSet(name, RegionSet());
     }
-    auto text = std::make_shared<Text>(source_);
-    auto index = std::make_shared<SuffixArrayWordIndex>(text.get());
-    instance.BindText(text, std::move(index));
+    instance.BindText(std::make_shared<Text>(source_));
     return instance;
   }
 

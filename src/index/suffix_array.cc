@@ -54,28 +54,6 @@ SuffixArray::SuffixArray(std::string text, exec::ThreadPool* pool)
       break;
     }
   }
-
-  // Kasai's LCP construction.
-  lcp_.assign(static_cast<size_t>(n), 0);
-  std::vector<int32_t> inverse(static_cast<size_t>(n));
-  for (int32_t i = 0; i < n; ++i) {
-    inverse[static_cast<size_t>(sa_[static_cast<size_t>(i)])] = i;
-  }
-  int32_t h = 0;
-  for (int32_t i = 0; i < n; ++i) {
-    int32_t slot = inverse[static_cast<size_t>(i)];
-    if (slot == 0) {
-      h = 0;
-      continue;
-    }
-    int32_t j = sa_[static_cast<size_t>(slot - 1)];
-    while (i + h < n && j + h < n &&
-           text_[static_cast<size_t>(i + h)] == text_[static_cast<size_t>(j + h)]) {
-      ++h;
-    }
-    lcp_[static_cast<size_t>(slot)] = h;
-    if (h > 0) --h;
-  }
 }
 
 std::pair<int32_t, int32_t> SuffixArray::EqualRange(

@@ -13,11 +13,11 @@ namespace exec {
 class ThreadPool;
 }  // namespace exec
 
-/// A suffix array with LCP information — the modern equivalent of the PAT
-/// array underlying the Open Text PAT system [Gon87, Ope93] whose algebra
-/// the paper studies. Construction is prefix-doubling (O(n log^2 n)), which
-/// is ample for the corpus sizes the benchmarks sweep; each doubling round's
-/// sort runs on the exec thread pool. Ranks within a round break ties by
+/// A suffix array — the modern equivalent of the PAT array underlying the
+/// Open Text PAT system [Gon87, Ope93] whose algebra the paper studies.
+/// Construction is prefix-doubling (O(n log^2 n)), which is ample for the
+/// corpus sizes the benchmarks sweep; each doubling round's sort runs on the
+/// exec thread pool. Ranks within a round break ties by
 /// suffix index (a strict total order), so construction is deterministic and
 /// identical for every thread count, including fully sequential.
 class SuffixArray {
@@ -36,10 +36,6 @@ class SuffixArray {
   /// sa()[i] = starting offset of the i-th suffix in lexicographic order.
   const std::vector<int32_t>& sa() const { return sa_; }
 
-  /// lcp()[i] = longest common prefix length of suffixes sa()[i-1], sa()[i];
-  /// lcp()[0] = 0. Computed by Kasai's algorithm.
-  const std::vector<int32_t>& lcp() const { return lcp_; }
-
   /// The half-open range [lo, hi) of suffix-array slots whose suffixes start
   /// with `prefix` (binary search, O(|prefix| log n)). Empty range if none.
   std::pair<int32_t, int32_t> EqualRange(std::string_view prefix) const;
@@ -53,7 +49,6 @@ class SuffixArray {
  private:
   std::string text_;
   std::vector<int32_t> sa_;
-  std::vector<int32_t> lcp_;
 };
 
 }  // namespace regal

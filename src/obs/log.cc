@@ -1,6 +1,7 @@
 #include "obs/log.h"
 
 #include <chrono>
+#include <cstdio>
 
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -39,25 +40,6 @@ void StderrSink::Write(std::string_view line) {
 
 void StderrSink::Flush() { std::fflush(stderr); }
 
-FileSink::FileSink(const std::string& path)
-    : file_(std::fopen(path.c_str(), "a")) {}
-
-FileSink::~FileSink() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-void FileSink::Write(std::string_view line) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (file_ == nullptr) return;
-  std::fwrite(line.data(), 1, line.size(), file_);
-  std::fputc('\n', file_);
-}
-
-void FileSink::Flush() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (file_ != nullptr) std::fflush(file_);
-}
-
 void CaptureSink::Write(std::string_view line) {
   std::lock_guard<std::mutex> lock(mu_);
   lines_.emplace_back(line);
@@ -84,11 +66,6 @@ EventLog& EventLog::Default() {
   return *log;
 }
 
-void EventLog::SetSink(std::shared_ptr<LogSink> sink) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (sink != nullptr) sink_ = std::move(sink);
-}
-
 void EventLog::set_min_severity(Severity severity) {
   std::lock_guard<std::mutex> lock(mu_);
   options_.min_severity = severity;
@@ -99,19 +76,11 @@ int64_t EventLog::dropped() const {
   return dropped_;
 }
 
-void EventLog::Flush() {
-  std::shared_ptr<LogSink> sink;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sink = sink_;
-  }
-  sink->Flush();
-}
+void EventLog::Flush() { sink_->Flush(); }
 
 void EventLog::Log(Severity severity, std::string_view subsystem,
                    std::string_view message, uint64_t query_id,
                    std::initializer_list<LogField> fields) {
-  std::shared_ptr<LogSink> sink;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (static_cast<int>(severity) < static_cast<int>(options_.min_severity)) {
@@ -130,7 +99,6 @@ void EventLog::Log(Severity severity, std::string_view subsystem,
       }
       tokens_ -= 1.0;
     }
-    sink = sink_;
   }
   // Encode and emit outside the limiter lock's critical work? The sink may
   // be shared, and records must not interleave — keep encoding cheap and
@@ -152,7 +120,7 @@ void EventLog::Log(Severity severity, std::string_view subsystem,
       .GetCounter("regal_log_records_total",
                   {{"severity", SeverityName(severity)}})
       ->Increment();
-  sink->Write(w.Take());
+  sink_->Write(w.Take());
 }
 
 }  // namespace obs

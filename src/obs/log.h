@@ -2,7 +2,6 @@
 #define REGAL_OBS_LOG_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -37,21 +36,6 @@ class StderrSink : public LogSink {
  public:
   void Write(std::string_view line) override;
   void Flush() override;
-};
-
-/// Appends lines to a file opened once at construction ("a" mode). Failure
-/// to open degrades to dropping writes; ok() reports it.
-class FileSink : public LogSink {
- public:
-  explicit FileSink(const std::string& path);
-  ~FileSink() override;
-  void Write(std::string_view line) override;
-  void Flush() override;
-  bool ok() const { return file_ != nullptr; }
-
- private:
-  std::mutex mu_;
-  std::FILE* file_ = nullptr;
 };
 
 /// Buffers lines in memory — the test sink, and handy for /statusz-style
@@ -105,10 +89,6 @@ class EventLog {
   /// and subsystem warnings land here unless redirected.
   static EventLog& Default();
 
-  /// Replaces the sink (e.g. a FileSink at service start, a CaptureSink in
-  /// tests). Thread-safe.
-  void SetSink(std::shared_ptr<LogSink> sink);
-
   void set_min_severity(Severity severity);
 
   void Log(Severity severity, std::string_view subsystem,
@@ -122,7 +102,7 @@ class EventLog {
 
  private:
   mutable std::mutex mu_;
-  std::shared_ptr<LogSink> sink_;
+  const std::shared_ptr<LogSink> sink_;  // Set once at construction.
   EventLogOptions options_;
   // Token bucket, refilled continuously against the steady clock.
   double tokens_ = 0;

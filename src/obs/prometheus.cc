@@ -117,10 +117,6 @@ const std::map<std::string, std::string>& BuiltinHelp() {
       {"regal_resilience_brownout_entries_total", "Times brownout began."},
       {"regal_resilience_watchdog_reaped_total",
        "Connections closed because a request frame missed its deadline."},
-      {"regal_resilience_budget_denied_total",
-       "Client retries the retry budget refused."},
-      {"regal_resilience_breaker_transitions_total",
-       "Client circuit-breaker state changes, by new state."},
       {"regal_wal_records_total", "Records appended to the write-ahead log."},
       {"regal_wal_bytes_written_total",
        "Bytes written to the write-ahead log file."},

@@ -10,23 +10,6 @@
 namespace regal {
 namespace recovery {
 
-double BackoffPolicy::CapMs(int attempt) const {
-  double cap = initial_backoff_ms;
-  for (int i = 1; i < attempt; ++i) {
-    cap *= multiplier;
-    if (cap >= max_backoff_ms) return max_backoff_ms;
-  }
-  return std::min(cap, max_backoff_ms);
-}
-
-double BackoffPolicy::DelayMs(int attempt, Rng* jitter) const {
-  // Uniform in [0, cap): Next() >> 11 leaves 53 random bits, the exact
-  // mantissa width of a double, so the quotient is uniform on [0, 1).
-  const double unit =
-      static_cast<double>(jitter->Next() >> 11) * (1.0 / 9007199254740992.0);
-  return CapMs(attempt) * unit;
-}
-
 bool IsTransientIo(const Status& status) {
   switch (status.code()) {
     case StatusCode::kResourceExhausted:  // ENOSPC / EDQUOT.

@@ -1,10 +1,10 @@
 #ifndef REGAL_RECOVERY_RETRY_H_
 #define REGAL_RECOVERY_RETRY_H_
 
+#include <cstdint>
 #include <functional>
 
 #include "safety/context.h"
-#include "util/random.h"
 #include "util/status.h"
 
 namespace regal {
@@ -29,28 +29,6 @@ struct RetryPolicy {
   /// Test hook: when set, called instead of actually sleeping (the fake
   /// clock that makes backoff tests take microseconds, not seconds).
   std::function<void(double ms)> sleeper;
-};
-
-/// Capped exponential backoff with *full* jitter (AWS-style): attempt k
-/// (1-based) sleeps uniform[0, min(max, initial * multiplier^(k-1))].
-/// Shared by the resilient query client and anything else that retries
-/// against a shared service: full jitter (rather than the storage loop's
-/// half-range jitter above) is what de-synchronizes a thundering herd of
-/// clients all refused at the same instant — the whole range spreads them
-/// across the window instead of clustering near its top.
-struct BackoffPolicy {
-  double initial_backoff_ms = 10.0;
-  double max_backoff_ms = 2000.0;
-  double multiplier = 2.0;
-
-  /// The delay before retry number `attempt` (1-based), sampled from
-  /// `jitter`. Deterministic from (policy, Rng state): the property tests
-  /// replay exact sleep sequences from a seed.
-  double DelayMs(int attempt, Rng* jitter) const;
-
-  /// The jitter-free ceiling for retry `attempt` — DelayMs is uniform in
-  /// [0, CapMs(attempt)]. Exposed so tests state the bound exactly.
-  double CapMs(int attempt) const;
 };
 
 /// The retryability predicate: true for the Status codes transient I/O

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <utility>
 
-#include "index/word_index.h"
 #include "obs/metrics.h"
 #include "safety/failpoint.h"
 #include "storage/checksum.h"
@@ -134,12 +133,9 @@ Status ApplyMutation(Instance* instance, const Mutation& m) {
     case MutationKind::kReplaceRegions:
       instance->SetRegionSet(m.name, m.regions);
       return Status::OK();
-    case MutationKind::kBindText: {
-      auto text = std::make_shared<Text>(m.text);
-      auto index = std::make_shared<SuffixArrayWordIndex>(text.get());
-      instance->BindText(std::move(text), std::move(index));
+    case MutationKind::kBindText:
+      instance->BindText(std::make_shared<Text>(m.text));
       return Status::OK();
-    }
     case MutationKind::kSetPattern: {
       REGAL_ASSIGN_OR_RETURN(Pattern p, Pattern::FromCacheKey(m.name));
       instance->SetSyntheticPattern(p, m.regions);

@@ -1,14 +1,9 @@
 #ifndef REGAL_SERVER_CLIENT_H_
 #define REGAL_SERVER_CLIENT_H_
 
-#include <functional>
-#include <memory>
 #include <string>
 
-#include "recovery/retry.h"
 #include "server/protocol.h"
-#include "server/resilience.h"
-#include "util/random.h"
 #include "util/status.h"
 
 namespace regal {
@@ -54,104 +49,6 @@ class Client {
  private:
   int fd_ = -1;
   uint32_t max_response_bytes_ = 64u << 20;
-};
-
-/// Tuning for ResilientClient. The defaults suit an interactive caller of
-/// a loaded service; the chaos tests override nearly everything with a
-/// deterministic seed and a fake sleeper.
-struct ResilientClientOptions {
-  /// Total tries per Call including the first; <= 1 disables retrying.
-  int max_attempts = 4;
-  /// Capped exponential backoff with full jitter between attempts. A
-  /// server-provided retry_after_ms hint raises (never lowers) a delay.
-  recovery::BackoffPolicy backoff;
-  /// Seed for the backoff jitter Rng: the delay sequence is reproducible
-  /// from (options, seed) alone.
-  uint64_t jitter_seed = 0x5eed;
-  RetryBudget::Options budget;
-  /// Breaker tuning used when this endpoint's breaker is first created
-  /// (endpoints share one breaker process-wide; later options are
-  /// ignored for an existing breaker).
-  CircuitBreaker::Options breaker;
-  /// Hedging: after a p99-based delay, fire a duplicate of an idempotent
-  /// request on a second connection and take whichever answers first.
-  bool enable_hedging = false;
-  /// Floor on the hedge delay (a hot cache can drive p99 near zero, and
-  /// hedging every request would double load for nothing).
-  double hedge_min_ms = 5.0;
-  /// Observed latencies required before hedging activates.
-  int64_t hedge_warmup = 20;
-  /// Socket send/recv timeout for each underlying connection.
-  int timeout_ms = 5000;
-  /// Test hook: called instead of sleeping between attempts.
-  std::function<void(double ms)> sleeper;
-};
-
-/// The resilient counterpart of Client: same Call surface, but survives
-/// the failures Client dies on. Composes (1) transparent
-/// reconnect-and-replay for idempotent requests — EPIPE/ECONNRESET/torn
-/// responses reconnect and retry instead of failing forever; (2) capped
-/// exponential backoff with full jitter; (3) a retry *budget* so retries
-/// can never amplify an outage; (4) a per-endpoint circuit breaker shared
-/// process-wide; (5) optional hedged requests after a p99-based delay.
-/// Typed OVERLOADED/RESOURCE_EXHAUSTED replies are retried with the
-/// server's retry_after_ms hint honored as a lower bound.
-///
-/// Not thread-safe (like Client): one ResilientClient per caller; the
-/// breaker underneath is shared and thread-safe.
-class ResilientClient {
- public:
-  struct Stats {
-    int64_t attempts = 0;       ///< Wire round trips issued (incl. hedges).
-    int64_t retries = 0;        ///< Attempts after the first, per Call.
-    int64_t reconnects = 0;     ///< Successful re-establishments.
-    int64_t overloaded = 0;     ///< Typed shed replies received.
-    int64_t budget_denied = 0;  ///< Retries refused by the token bucket.
-    int64_t breaker_denied = 0; ///< Calls refused by an open breaker.
-    int64_t hedges = 0;         ///< Duplicate requests fired.
-    int64_t hedge_wins = 0;     ///< Hedges that answered first.
-  };
-
-  /// Resolves the endpoint's shared breaker and connects eagerly (a
-  /// failed initial connect is an error here, not a deferred one).
-  static Result<ResilientClient> Connect(const std::string& host, int port,
-                                         ResilientClientOptions options = {});
-
-  /// One logical request. `idempotent` gates replay: a request that died
-  /// mid-flight (send accepted, connection lost before the response) is
-  /// replayed only when the caller declares re-execution safe — plain
-  /// queries are; anything with side effects is not. Non-idempotent
-  /// requests still retry failures that provably happened before the
-  /// request was sent (connect refused, breaker denial).
-  Result<Response> Call(const Request& request, bool idempotent = true);
-
-  const Stats& stats() const { return stats_; }
-  CircuitBreaker* breaker() { return breaker_; }
-  RetryBudget& budget() { return *budget_; }
-  bool connected() const { return client_.connected(); }
-  void Close(bool rst = false) { client_.Close(rst); }
-
- private:
-  ResilientClient(std::string host, int port, ResilientClientOptions options);
-
-  Status EnsureConnected();
-  /// One wire attempt, hedged when warranted.
-  Result<Response> CallOnce(const Request& request, bool hedgeable);
-  Result<Response> HedgedCall(const Request& request);
-  void Sleep(double ms);
-
-  std::string host_;
-  int port_ = 0;
-  ResilientClientOptions options_;
-  Client client_;
-  bool ever_connected_ = false;
-  Rng jitter_{0x5eed};
-  // unique_ptr: both own mutexes and the client must stay movable (it
-  // rides in a Result).
-  std::unique_ptr<RetryBudget> budget_;
-  std::unique_ptr<LatencyTracker> latency_;
-  CircuitBreaker* breaker_ = nullptr;  // Shared; owned by the registry.
-  Stats stats_;
 };
 
 }  // namespace server

@@ -47,7 +47,7 @@ namespace server {
 ///    "message": "tenant over fair share", "row_count": 0,
 ///    "rows": [], "elapsed_ms": 0}
 /// Shed requests carry code "OVERLOADED" plus "retry_after_ms", the
-/// server's backoff hint; resilient clients wait at least that long.
+/// server's backoff hint: a client should wait at least that long.
 
 /// Frame length prefix size (u32 little-endian payload byte count).
 constexpr size_t kFrameHeaderBytes = 4;

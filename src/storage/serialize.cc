@@ -4,7 +4,6 @@
 #include <memory>
 #include <sstream>
 
-#include "index/word_index.h"
 
 namespace regal {
 
@@ -158,10 +157,7 @@ Result<Instance> LoadInstance(std::istream& in) {
   if (!saw_end) {
     return Status::InvalidArgument("missing 'end' record");
   }
-  if (text != nullptr) {
-    auto index = std::make_shared<SuffixArrayWordIndex>(text.get());
-    instance.BindText(text, std::move(index));
-  }
+  if (text != nullptr) instance.BindText(std::move(text));
   return instance;
 }
 

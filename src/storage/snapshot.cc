@@ -5,7 +5,6 @@
 #include <sstream>
 #include <vector>
 
-#include "index/word_index.h"
 #include "obs/metrics.h"
 #include "storage/checksum.h"
 #include "storage/serialize.h"
@@ -205,10 +204,7 @@ Result<Instance> DecodeSnapshot(std::string_view bytes) {
       instance.SetSyntheticPattern(p, std::move(regions));
     }
   }
-  if (text != nullptr) {
-    auto index = std::make_shared<SuffixArrayWordIndex>(text.get());
-    instance.BindText(text, std::move(index));
-  }
+  if (text != nullptr) instance.BindText(std::move(text));
   return instance;
 }
 
@@ -319,10 +315,7 @@ Result<Instance> SalvageSnapshot(std::string_view bytes,
                     {{"outcome", "kept"}})
         ->Increment();
   }
-  if (text != nullptr) {
-    auto index = std::make_shared<SuffixArrayWordIndex>(text.get());
-    instance.BindText(text, std::move(index));
-  }
+  if (text != nullptr) instance.BindText(std::move(text));
   return instance;
 }
 

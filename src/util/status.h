@@ -29,10 +29,10 @@ enum class StatusCode {
                       ///< *caller* did nothing wrong — the bytes rotted.
   kOverloaded,        ///< The serving layer shed this request to protect
                       ///< itself (admission queue over its sojourn target,
-                      ///< brownout mode, circuit breaker open). Always
-                      ///< retryable after a backoff; distinct from
-                      ///< kResourceExhausted, which is a per-caller quota
-                      ///< verdict rather than a whole-system health one.
+                      ///< brownout mode). Always retryable after a
+                      ///< backoff; distinct from kResourceExhausted, which
+                      ///< is a per-caller quota verdict rather than a
+                      ///< whole-system health one.
 };
 
 /// Returns a stable human-readable name for a status code.

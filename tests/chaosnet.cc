@@ -221,14 +221,17 @@ void ChaosNet::HandleConnection(int client_fd) {
       c2s_forwarded += n;
       continue;
     }
+    const bool freeze_now = fault == Fault::kFreeze && !froze_once;
+    // The downstream pump freezes before the request goes through, so the
+    // server's response cannot slip out ahead of the freeze.
+    if (freeze_now) state.frozen.store(true, std::memory_order_relaxed);
     if (!net::SendAll(upstream_fd, buf, static_cast<size_t>(n))) break;
     c2s_forwarded += n;
-    if (fault == Fault::kFreeze && !froze_once) {
+    if (freeze_now) {
       // First request through, then the line goes dead both ways until
       // the freeze lapses (or the harness stops). This is the wedge the
       // bounded drain and the watchdog are measured against.
       froze_once = true;
-      state.frozen.store(true, std::memory_order_relaxed);
       InterruptibleSleep(options_.freeze_ms);
       state.frozen.store(false, std::memory_order_relaxed);
     }

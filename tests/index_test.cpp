@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <string>
+#include <string_view>
 
+#include "exec/thread_pool.h"
 #include "index/suffix_array.h"
 #include "index/word_index.h"
 #include "util/random.h"
@@ -22,33 +25,86 @@ std::vector<int32_t> NaiveOccurrences(const std::string& text,
   return out;
 }
 
+// The oracle: every suffix of `text`, sorted by plain string comparison
+// (std::string_view compares bytes as unsigned char, as the index does).
+std::vector<int32_t> NaiveSuffixArray(const std::string& text) {
+  std::vector<int32_t> sa(text.size());
+  std::iota(sa.begin(), sa.end(), 0);
+  const std::string_view view(text);
+  std::sort(sa.begin(), sa.end(), [&](int32_t a, int32_t b) {
+    return view.substr(static_cast<size_t>(a)) <
+           view.substr(static_cast<size_t>(b));
+  });
+  return sa;
+}
+
+std::string RandomBytes(Rng* rng, size_t length, int alphabet) {
+  std::string text(length, '\0');
+  for (char& c : text) {
+    c = static_cast<char>(rng->Below(static_cast<uint64_t>(alphabet)));
+  }
+  return text;
+}
+
+std::string Repeat(const std::string& unit, int times) {
+  std::string text;
+  for (int i = 0; i < times; ++i) text += unit;
+  return text;
+}
+
 TEST(SuffixArrayTest, Banana) {
   SuffixArray sa("banana");
-  EXPECT_EQ(sa.sa().size(), 6u);
+  EXPECT_EQ(sa.sa(), (std::vector<int32_t>{5, 3, 1, 0, 4, 2}));
   EXPECT_EQ(sa.Count("ana"), 2);
   EXPECT_EQ(sa.Occurrences("ana"), (std::vector<int32_t>{1, 3}));
   EXPECT_EQ(sa.Count("nan"), 1);
   EXPECT_EQ(sa.Count("xyz"), 0);
 }
 
+// sa() equals the naive sort of all suffixes, built sequentially and on a
+// 4-thread pool, for every text up to length 10 over {a, b}, seeded random
+// texts and adversarial ones.
 TEST(SuffixArrayTest, SortedProperty) {
-  SuffixArray sa("mississippi");
-  const std::string& text = sa.text();
-  for (size_t i = 1; i < sa.sa().size(); ++i) {
-    EXPECT_LT(text.substr(static_cast<size_t>(sa.sa()[i - 1])),
-              text.substr(static_cast<size_t>(sa.sa()[i])));
+  std::vector<std::string> texts = {"mississippi", "abracadabra"};
+  for (int length = 0; length <= 10; ++length) {
+    for (int bits = 0; bits < (1 << length); ++bits) {
+      std::string text;
+      for (int i = 0; i < length; ++i) text += ((bits >> i) & 1) ? 'b' : 'a';
+      texts.push_back(text);
+    }
   }
-}
+  Rng rng(11);
+  for (int alphabet : {1, 2, 4, 26, 256}) {
+    for (int trial = 0; trial < 8; ++trial) {
+      texts.push_back(RandomBytes(&rng, 1 + rng.Below(300), alphabet));
+    }
+  }
+  // Longer than ParallelSort's sequential cutoff, so the pool splits the
+  // doubling rounds' sorts across its lanes.
+  texts.push_back(RandomBytes(&rng, 40000, 4));
+  texts.push_back(RandomBytes(&rng, 40000, 256));
+  // Adversarial: one letter, periodic, and every byte value (NUL and the
+  // bytes >= 0x80 included, which must sort as unsigned).
+  texts.push_back(std::string(2000, 'a'));
+  texts.push_back(std::string(300, '\0'));
+  texts.push_back(std::string(300, '\xff'));
+  texts.push_back(Repeat("ab", 1000));
+  texts.push_back(Repeat("abc", 700));
+  texts.push_back(Repeat("aab", 500) + "a");
+  std::string all_bytes;
+  for (int b = 0; b < 256; ++b) all_bytes += static_cast<char>(b);
+  texts.push_back(all_bytes);
+  texts.push_back(std::string(all_bytes.rbegin(), all_bytes.rend()));
+  texts.push_back(Repeat(all_bytes, 4));
 
-TEST(SuffixArrayTest, LcpMatchesDefinition) {
-  SuffixArray sa("abracadabra");
-  const std::string& text = sa.text();
-  for (size_t i = 1; i < sa.sa().size(); ++i) {
-    std::string a = text.substr(static_cast<size_t>(sa.sa()[i - 1]));
-    std::string b = text.substr(static_cast<size_t>(sa.sa()[i]));
-    size_t l = 0;
-    while (l < a.size() && l < b.size() && a[l] == b[l]) ++l;
-    EXPECT_EQ(sa.lcp()[i], static_cast<int32_t>(l)) << "slot " << i;
+  exec::ThreadPool pool(4);
+  for (const std::string& text : texts) {
+    const std::vector<int32_t> expected = NaiveSuffixArray(text);
+    const std::string shown =
+        ::testing::PrintToString(text.substr(0, 40)) + " (" +
+        std::to_string(text.size()) + " bytes)";
+    EXPECT_EQ(SuffixArray(text, /*pool=*/nullptr).sa(), expected) << shown;
+    EXPECT_EQ(SuffixArray(text, &pool).sa(), expected) << shown;
   }
 }
 

@@ -236,7 +236,6 @@ TEST_P(ParallelIndexTest, SuffixArrayWordIndexIsThreadCountInvariant) {
   ThreadPool pool(GetParam());
   SuffixArrayWordIndex parallel(&text, &pool);
   EXPECT_EQ(parallel.suffix_array().sa(), sequential.suffix_array().sa());
-  EXPECT_EQ(parallel.suffix_array().lcp(), sequential.suffix_array().lcp());
   EXPECT_EQ(parallel.NumTokens(), sequential.NumTokens());
   for (const char* body : {"term1*", "sense", "TERM2", "?erm3?"}) {
     Pattern p = *Pattern::Parse(body);

@@ -1,11 +1,10 @@
 // Suite for the overload-resilience subsystem (labels `resilience` and,
 // for the ChaosNet-driven tests, `chaos`): the CoDel admission controller
-// and brownout latch, backoff-jitter/retry-budget/circuit-breaker property
-// tests with deterministic seeds, the frame deadline and bounded drain,
-// and a live service abused through the fault-injecting ChaosNet
-// proxy (torn frames, RSTs, freezes, byte-trickling). The breaker and
-// admission state machines are shared across threads by design, so this
-// binary belongs in the TSAN run:
+// and brownout latch, the frame deadline and bounded drain, and a live
+// service abused through the fault-injecting ChaosNet proxy (torn frames,
+// RSTs, freezes, byte-trickling), which must keep serving fresh clients
+// after every fault. The admission state machine and the drain are shared
+// across threads by design, so this binary belongs in the TSAN run:
 //   cmake -B build-tsan -S . -DREGAL_SANITIZE=thread
 //   cmake --build build-tsan -j && ctest --test-dir build-tsan -L chaos
 // (-L resilience runs the whole suite; ASAN/UBSAN configs take it the
@@ -29,15 +28,12 @@
 #include "chaosnet.h"
 #include "query/engine.h"
 #include "recovery/durable.h"
-#include "recovery/retry.h"
 #include "safety/admission.h"
 #include "safety/failpoint.h"
 #include "server/client.h"
 #include "server/net.h"
 #include "server/protocol.h"
-#include "server/resilience.h"
 #include "server/service.h"
-#include "util/random.h"
 #include "util/status.h"
 
 namespace regal {
@@ -84,161 +80,6 @@ TEST(ResilienceStatusTest, OverloadedCodeRoundTrips) {
   response.retry_after_ms = 0;
   EXPECT_EQ(server::RenderResponse(response).find("retry_after_ms"),
             std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Backoff jitter: property tests from deterministic seeds.
-
-TEST(BackoffPolicyTest, JitterStaysWithinCapAndIsDeterministic) {
-  recovery::BackoffPolicy policy;  // 10ms doubling, capped at 2000ms.
-  for (uint64_t seed : {1ULL, 42ULL, 0x5eedULL}) {
-    Rng a(seed), b(seed);
-    for (int attempt = 1; attempt <= 12; ++attempt) {
-      const double cap = policy.CapMs(attempt);
-      const double delay = policy.DelayMs(attempt, &a);
-      EXPECT_GE(delay, 0.0) << "seed " << seed << " attempt " << attempt;
-      EXPECT_LE(delay, cap) << "seed " << seed << " attempt " << attempt;
-      // Full jitter is reproducible from (policy, seed) alone: the
-      // property the chaos tests rely on to replay exact schedules.
-      EXPECT_DOUBLE_EQ(delay, policy.DelayMs(attempt, &b));
-    }
-  }
-  // Distinct seeds must not replay the same schedule.
-  Rng c(7), d(8);
-  bool differed = false;
-  for (int attempt = 1; attempt <= 8 && !differed; ++attempt) {
-    differed = policy.DelayMs(attempt, &c) != policy.DelayMs(attempt, &d);
-  }
-  EXPECT_TRUE(differed);
-}
-
-TEST(BackoffPolicyTest, CapGrowsGeometricallyThenClamps) {
-  recovery::BackoffPolicy policy;
-  policy.initial_backoff_ms = 10;
-  policy.max_backoff_ms = 100;
-  policy.multiplier = 2;
-  EXPECT_DOUBLE_EQ(policy.CapMs(1), 10);
-  EXPECT_DOUBLE_EQ(policy.CapMs(2), 20);
-  EXPECT_DOUBLE_EQ(policy.CapMs(3), 40);
-  EXPECT_DOUBLE_EQ(policy.CapMs(4), 80);
-  EXPECT_DOUBLE_EQ(policy.CapMs(5), 100);   // Clamped.
-  EXPECT_DOUBLE_EQ(policy.CapMs(50), 100);  // And stays clamped.
-}
-
-// ---------------------------------------------------------------------------
-// Retry budget accounting.
-
-TEST(RetryBudgetTest, EarnAndSpendAccounting) {
-  server::RetryBudget::Options options;
-  // 0.25 is exact in binary floating point, so "four first-tries buy one
-  // retry" can be asserted with equality rather than tolerance.
-  options.earn_per_request = 0.25;
-  options.max_tokens = 3.0;
-  server::RetryBudget budget(options);
-  // Starts full: a fresh client can retry through a brief hiccup.
-  EXPECT_DOUBLE_EQ(budget.tokens(), 3.0);
-  EXPECT_TRUE(budget.TrySpend());
-  EXPECT_TRUE(budget.TrySpend());
-  EXPECT_TRUE(budget.TrySpend());
-  EXPECT_FALSE(budget.TrySpend());  // Dry.
-  EXPECT_EQ(budget.denied(), 1);
-  // Four first-try requests earn exactly one retry back.
-  for (int i = 0; i < 4; ++i) budget.OnRequest();
-  EXPECT_TRUE(budget.TrySpend());
-  EXPECT_FALSE(budget.TrySpend());
-  EXPECT_EQ(budget.denied(), 2);
-  // The bucket never exceeds its cap.
-  for (int i = 0; i < 1000; ++i) budget.OnRequest();
-  EXPECT_DOUBLE_EQ(budget.tokens(), 3.0);
-}
-
-TEST(RetryBudgetTest, ConcurrentSpendNeverOvergrants) {
-  server::RetryBudget::Options options;
-  options.earn_per_request = 0.0;  // No income: grants must total <= cap.
-  options.max_tokens = 16.0;
-  server::RetryBudget budget(options);
-  std::atomic<int> granted{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 64; ++i) {
-        if (budget.TrySpend()) granted.fetch_add(1);
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(granted.load(), 16);
-  EXPECT_EQ(budget.denied(), 4 * 64 - 16);
-}
-
-// ---------------------------------------------------------------------------
-// Circuit breaker state machine (fake clock; the half-open probe race is
-// the TSAN-sensitive part).
-
-TEST(CircuitBreakerTest, LifecycleWithFakeClock) {
-  auto clock = std::make_shared<std::atomic<int64_t>>(0);
-  server::CircuitBreaker::Options options;
-  options.failure_threshold = 3;
-  options.open_ms = 100;
-  options.close_after = 2;
-  options.clock_ms = [clock] { return clock->load(); };
-  server::CircuitBreaker breaker(options);
-
-  EXPECT_EQ(breaker.state(), server::CircuitBreaker::State::kClosed);
-  // A success between failures resets the consecutive count.
-  breaker.RecordFailure();
-  breaker.RecordFailure();
-  breaker.RecordSuccess();
-  breaker.RecordFailure();
-  breaker.RecordFailure();
-  EXPECT_EQ(breaker.state(), server::CircuitBreaker::State::kClosed);
-  breaker.RecordFailure();  // Third consecutive: trips.
-  EXPECT_EQ(breaker.state(), server::CircuitBreaker::State::kOpen);
-  EXPECT_FALSE(breaker.Allow());
-  EXPECT_GE(breaker.denied(), 1);
-
-  // Open period lapses: exactly one probe may fly.
-  clock->store(150);
-  EXPECT_EQ(breaker.state(), server::CircuitBreaker::State::kHalfOpen);
-  EXPECT_TRUE(breaker.Allow());
-  EXPECT_FALSE(breaker.Allow());  // Probe already in flight.
-  // Probe fails: straight back to open for a full period.
-  breaker.RecordFailure();
-  EXPECT_EQ(breaker.state(), server::CircuitBreaker::State::kOpen);
-  EXPECT_FALSE(breaker.Allow());
-
-  clock->store(300);
-  ASSERT_TRUE(breaker.Allow());
-  breaker.RecordSuccess();
-  EXPECT_EQ(breaker.state(), server::CircuitBreaker::State::kHalfOpen);
-  ASSERT_TRUE(breaker.Allow());  // Slot free again after the success.
-  breaker.RecordSuccess();       // Second consecutive: closes.
-  EXPECT_EQ(breaker.state(), server::CircuitBreaker::State::kClosed);
-  EXPECT_TRUE(breaker.Allow());
-}
-
-TEST(CircuitBreakerTest, HalfOpenAdmitsExactlyOneProbeUnderContention) {
-  auto clock = std::make_shared<std::atomic<int64_t>>(0);
-  server::CircuitBreaker::Options options;
-  options.failure_threshold = 1;
-  options.open_ms = 10;
-  options.clock_ms = [clock] { return clock->load(); };
-  server::CircuitBreaker breaker(options);
-  breaker.RecordFailure();
-  ASSERT_EQ(breaker.state(), server::CircuitBreaker::State::kOpen);
-  clock->store(20);  // Half-open from the next evaluation on.
-
-  // Many callers race for the single probe slot; exactly one may win.
-  std::atomic<int> allowed{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&] {
-      if (breaker.Allow()) allowed.fetch_add(1);
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(allowed.load(), 1);
-  breaker.RecordSuccess();
 }
 
 // ---------------------------------------------------------------------------
@@ -666,16 +507,21 @@ class ResilienceServiceTest : public ::testing::Test {
     return request;
   }
 
-  // Direct (chaos-free) liveness probe: after whatever a test dished out,
-  // the service must still answer a fresh client correctly.
-  void ExpectStillServing() {
-    ASSERT_FALSE(service_->stopping());
-    auto client = server::Client::Connect("127.0.0.1", service_->port());
+  // A fresh client connecting to `port` gets a correct answer.
+  void ExpectServedVia(int port) {
+    auto client = server::Client::Connect("127.0.0.1", port);
     ASSERT_TRUE(client.ok()) << client.status();
     auto response = client->Call(MakeRequest("probe", "para within sec"));
     ASSERT_TRUE(response.ok()) << response.status();
     EXPECT_TRUE(response->ok) << response->message;
     EXPECT_EQ(response->row_count, 3);
+  }
+
+  // Direct (chaos-free) liveness probe: after whatever a test dished out,
+  // the service must still answer a fresh client correctly.
+  void ExpectStillServing() {
+    ASSERT_FALSE(service_->stopping());
+    ExpectServedVia(service_->port());
   }
 
   std::unique_ptr<server::QueryService> service_;
@@ -823,96 +669,54 @@ TEST_F(ResilienceServiceTest, BrownoutReportsUnknownNamesNotOverload) {
 
 using ResilienceChaosTest = ResilienceServiceTest;
 
-server::ResilientClientOptions FastRetryOptions() {
-  server::ResilientClientOptions options;
-  options.max_attempts = 4;
-  options.sleeper = [](double) {};  // No real backoff sleeps in tests.
-  return options;
-}
-
-TEST_F(ResilienceChaosTest, TornFrameTriggersReconnectAndReplay) {
+TEST_F(ResilienceChaosTest, TornFrameFailsOneCallThenFreshClientIsServed) {
   StartService();
   StartChaos();
   // Exactly the first proxied connection tears the request mid-frame.
   ASSERT_TRUE(safety::FailpointRegistry::Default()
                   .ArmFromSpec("chaos.net.torn#1")
                   .ok());
-  auto client = server::ResilientClient::Connect(
-      "127.0.0.1", chaos_->port(), FastRetryOptions());
+  auto client = server::Client::Connect("127.0.0.1", chaos_->port());
   ASSERT_TRUE(client.ok()) << client.status();
-  auto response = client->Call(MakeRequest("t", "para within sec"));
-  ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_TRUE(response->ok) << response->message;
-  EXPECT_EQ(response->row_count, 3);
-  // The replay was transparent but visible in the stats.
-  EXPECT_EQ(client->stats().retries, 1);
-  EXPECT_EQ(client->stats().reconnects, 1);
+  EXPECT_FALSE(client->Call(MakeRequest("t", "para within sec")).ok());
   EXPECT_EQ(chaos_->faults_injected(), 1);
+  // The fault is spent: the next connection through the proxy is clean.
+  ExpectServedVia(chaos_->port());
   ExpectStillServing();
 }
 
-TEST_F(ResilienceChaosTest, RstMidRequestReplaysOnlyWhenIdempotent) {
+TEST_F(ResilienceChaosTest, RstMidRequestFailsOneCallThenFreshClientIsServed) {
   StartService();
   StartChaos();
-
-  // Idempotent: the historical die-forever-on-ECONNRESET case, now a
-  // transparent reconnect-and-replay.
+  // The first proxied connection is reset both ways as its request arrives.
   ASSERT_TRUE(safety::FailpointRegistry::Default()
                   .ArmFromSpec("chaos.net.rst#1")
                   .ok());
-  auto client = server::ResilientClient::Connect(
-      "127.0.0.1", chaos_->port(), FastRetryOptions());
+  auto client = server::Client::Connect("127.0.0.1", chaos_->port());
   ASSERT_TRUE(client.ok()) << client.status();
-  auto replayed = client->Call(MakeRequest("t", "para within sec"),
-                               /*idempotent=*/true);
-  ASSERT_TRUE(replayed.ok()) << replayed.status();
-  EXPECT_TRUE(replayed->ok) << replayed->message;
-  EXPECT_GE(client->stats().reconnects, 1);
-
-  // Non-idempotent: the request may have executed before the RST, so the
-  // client must surface the transport failure instead of replaying.
-  ASSERT_TRUE(safety::FailpointRegistry::Default()
-                  .ArmFromSpec("chaos.net.rst#1")
-                  .ok());
-  auto fresh = server::ResilientClient::Connect(
-      "127.0.0.1", chaos_->port(), FastRetryOptions());
-  ASSERT_TRUE(fresh.ok()) << fresh.status();
-  auto surfaced = fresh->Call(MakeRequest("t", "para within sec"),
-                              /*idempotent=*/false);
-  EXPECT_FALSE(surfaced.ok());
-  EXPECT_EQ(fresh->stats().retries, 0);
+  EXPECT_FALSE(client->Call(MakeRequest("t", "para within sec")).ok());
+  EXPECT_EQ(chaos_->faults_injected(), 1);
+  ExpectServedVia(chaos_->port());
   ExpectStillServing();
 }
 
-TEST_F(ResilienceChaosTest, RstStormOpensBreakerWhichRecoversToClosed) {
+TEST_F(ResilienceChaosTest, RstStormFailsEveryCallThenServiceRecovers) {
   StartService();
   StartChaos();
   // Every proxied connection dies by RST until disarmed.
   safety::FailpointRegistry::Default().Arm("chaos.net.rst");
+  constexpr int kStorm = 5;
+  for (int i = 0; i < kStorm; ++i) {
+    auto client = server::Client::Connect("127.0.0.1", chaos_->port());
+    ASSERT_TRUE(client.ok()) << client.status();
+    EXPECT_FALSE(client->Call(MakeRequest("t", "para within sec")).ok())
+        << "call " << i;
+  }
+  EXPECT_EQ(chaos_->faults_injected(), kStorm);
 
-  server::ResilientClientOptions options = FastRetryOptions();
-  options.breaker.failure_threshold = 2;
-  options.breaker.open_ms = 100;
-  options.breaker.close_after = 1;
-  auto client = server::ResilientClient::Connect(
-      "127.0.0.1", chaos_->port(), options);
-  ASSERT_TRUE(client.ok()) << client.status();
-
-  auto storm = client->Call(MakeRequest("t", "para within sec"));
-  EXPECT_FALSE(storm.ok());
-  EXPECT_EQ(client->breaker()->state(),
-            server::CircuitBreaker::State::kOpen);
-  EXPECT_GE(client->stats().breaker_denied, 1);
-
-  // Fault cleared + open period lapsed: the half-open probe succeeds and
-  // the breaker closes again — the recovery the chaos suite must prove.
+  // Fault cleared: a fresh client through the same proxy is served again.
   safety::FailpointRegistry::Default().DisarmAll();
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  auto recovered = client->Call(MakeRequest("t", "para within sec"));
-  ASSERT_TRUE(recovered.ok()) << recovered.status();
-  EXPECT_TRUE(recovered->ok) << recovered->message;
-  EXPECT_EQ(client->breaker()->state(),
-            server::CircuitBreaker::State::kClosed);
+  ExpectServedVia(chaos_->port());
   ExpectStillServing();
 }
 
@@ -975,36 +779,26 @@ TEST_F(ResilienceChaosTest, FrozenConnectionsDoNotUnboundStop) {
   EXPECT_TRUE(service_->stopping());
 }
 
-TEST_F(ResilienceChaosTest, HedgedRequestOvertakesFrozenPrimary) {
+TEST_F(ResilienceChaosTest, FrozenConnectionTimesOutThenFreshClientIsServed) {
   StartService();
   server::ChaosOptions chaos;
   chaos.freeze_ms = 20000;
   StartChaos(std::move(chaos));
-  // Only the first proxied connection (the client's primary) freezes; the
-  // hedge lands on a clean one.
+  // Only the first proxied connection freezes, once its request is through.
   ASSERT_TRUE(safety::FailpointRegistry::Default()
                   .ArmFromSpec("chaos.net.freeze#1")
                   .ok());
 
-  server::ResilientClientOptions options = FastRetryOptions();
-  options.enable_hedging = true;
-  options.hedge_warmup = 0;
-  options.hedge_min_ms = 5;
-  options.timeout_ms = 10000;
-  auto client = server::ResilientClient::Connect(
-      "127.0.0.1", chaos_->port(), options);
+  // A short client timeout makes the frozen call fail fast.
+  auto client = server::Client::Connect("127.0.0.1", chaos_->port(),
+                                        /*timeout_ms=*/200);
   ASSERT_TRUE(client.ok()) << client.status();
-
-  auto response = client->Call(MakeRequest("t", "para within sec"));
-  ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_TRUE(response->ok) << response->message;
-  EXPECT_EQ(response->row_count, 3);
-  EXPECT_EQ(client->stats().hedges, 1);
-  EXPECT_EQ(client->stats().hedge_wins, 1);
-  // The win swapped the hedge connection in as the new primary.
-  auto again = client->Call(MakeRequest("t", "word \"alpha\""));
-  ASSERT_TRUE(again.ok()) << again.status();
-  EXPECT_TRUE(again->ok) << again->message;
+  auto frozen = client->Call(MakeRequest("t", "para within sec"));
+  ASSERT_FALSE(frozen.ok());
+  EXPECT_EQ(frozen.status().code(), StatusCode::kDeadlineExceeded)
+      << frozen.status();
+  EXPECT_EQ(chaos_->faults_injected(), 1);
+  ExpectServedVia(chaos_->port());
   ExpectStillServing();
 }
 

@@ -9,7 +9,6 @@
 #include "core/eval.h"
 #include "doc/sgml.h"
 #include "doc/synthetic.h"
-#include "index/word_index.h"
 #include "query/parser.h"
 #include "regal1_fixtures.h"
 #include "storage/serialize.h"
@@ -243,10 +242,8 @@ TEST(StorageTest, RandomInstancesRoundTripBitIdentically) {
     }
     if (rng.Chance(0.5)) {
       // Text-backed (possibly empty text); the word index is rebuilt on load.
-      auto text = std::make_shared<Text>(
-          rng.Chance(0.2) ? "" : "alpha beta gamma delta");
-      instance.BindText(text,
-                        std::make_shared<SuffixArrayWordIndex>(text.get()));
+      instance.BindText(std::make_shared<Text>(
+          rng.Chance(0.2) ? "" : "alpha beta gamma delta"));
     }
 
     const std::string bytes = EmitRegal1(instance);
@@ -309,16 +306,14 @@ TEST(StorageTest, BindTextOrderIsObservationallyEquivalent) {
 
   auto text = std::make_shared<Text>(content);
   Instance bind_first;
-  bind_first.BindText(text,
-                      std::make_shared<SuffixArrayWordIndex>(text.get()));
+  bind_first.BindText(text);
   ASSERT_TRUE(bind_first.AddRegionSet("word", word_set).ok());
   ASSERT_TRUE(bind_first.AddRegionSet("half", halves).ok());
 
   Instance bind_last;
   ASSERT_TRUE(bind_last.AddRegionSet("word", word_set).ok());
   ASSERT_TRUE(bind_last.AddRegionSet("half", halves).ok());
-  bind_last.BindText(text,
-                     std::make_shared<SuffixArrayWordIndex>(text.get()));
+  bind_last.BindText(text);
 
   const char* queries[] = {
       "word matching \"alpha\"",
@@ -361,9 +356,9 @@ std::string ToHex(std::string_view bytes) {
 }
 
 TEST(StorageTest, Regal2KnownAnswerVector) {
-  auto text = std::make_shared<Text>("alpha beta alpha beta alpha beta gamma");
   Instance instance;
-  instance.BindText(text, std::make_shared<SuffixArrayWordIndex>(text.get()));
+  instance.BindText(
+      std::make_shared<Text>("alpha beta alpha beta alpha beta gamma"));
   ASSERT_TRUE(instance
                   .AddRegionSet("sec", RegionSet{Region{0, 10}, Region{11, 21},
                                                  Region{22, 37}})

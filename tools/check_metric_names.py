@@ -47,7 +47,7 @@ KNOWN_SUBSYSTEMS = frozenset({
     "recorder",   # obs/flight_recorder.h
     "recovery",   # recovery/ (crash recovery, salvage, checkpoints)
     "resilience", # safety/admission.h + server/ (overload shedding,
-                  # brownout, watchdog, drain, client retry/breaker)
+                  # brownout, frame-deadline watchdog)
     "safety",     # safety/ (admission, degradation, failpoints)
     "server",     # server/ (multi-tenant query service front-end)
     "storage",    # storage/ (snapshots, atomic writes)
