@@ -24,9 +24,10 @@
 // point of offering the policy knob rather than picking for the user.
 //
 // On a single-CPU box the flusher time-slices with the mutator, so run-to-
-// run drift swamps a sub-15% margin unless repetitions are interleaved:
-//   bench_recovery --benchmark_repetitions=5 \
-//       --benchmark_enable_random_interleaving=true \
+// run drift swamps a sub-15% margin unless repetitions are interleaved, with
+// all three flags on one command line:
+//   bench_recovery --benchmark_repetitions=5
+//       --benchmark_enable_random_interleaving=true
 //       --benchmark_report_aggregates_only=true
 // and compare medians (the committed BENCH_recovery.json is such a run).
 

@@ -1,34 +1,16 @@
 #include "core/algebra.h"
 
-#include <algorithm>
 #include <bit>
-#include <limits>
 
 #include "core/algebra_kernels.h"
-#include "core/simd/simd_kernels.h"
 #include "obs/counters.h"
 
 namespace regal {
 
 namespace {
 
-// Query regions probed through the batched lower-bound kernel per call;
-// sized so the query/index scratch stays within a couple of L1 cache lines'
-// worth of stack.
-constexpr size_t kProbeTile = 256;
-
-// Keep x in r iff keep[i] != 0; r is already sorted and duplicate-free, and
-// filtering preserves both.
-RegionSet KeepMarked(const RegionSet& r, const unsigned char* keep) {
-  std::vector<Region> out;
-  for (size_t i = 0; i < r.size(); ++i) {
-    if (keep[i]) out.push_back(r[i]);
-  }
-  return RegionSet::FromSortedUnique(std::move(out));
-}
-
-// Binary-search depth over an index of n entries: the per-probe comparison
-// charge reported by the structural semi-joins.
+// Binary-search depth over a set of n entries: the per-lookup comparison
+// charge of the naive set oracles' RegionSet::Member calls.
 int64_t ProbeDepth(size_t n) {
   return static_cast<int64_t>(std::bit_width(n) + 1);
 }
@@ -47,9 +29,10 @@ void ReportCounters(int64_t comparisons, int64_t merge_steps,
 
 }  // namespace
 
-// The set operations run the span kernels of core/algebra_kernels.h over the
-// full operands; the parallel layer (exec/parallel_algebra.cc) runs the same
-// kernels per contiguous chunk, which keeps the two paths bit-identical.
+// The set operations and the structural semi-joins run the span kernels of
+// core/algebra_kernels.h over the full operands; the parallel layer
+// (exec/parallel_algebra.cc) runs the same kernels per contiguous chunk,
+// which keeps the two paths bit-identical.
 RegionSet Union(const RegionSet& r, const RegionSet& s) {
   std::vector<Region> out;
   out.reserve(r.size() + s.size());
@@ -81,202 +64,27 @@ RegionSet Difference(const RegionSet& r, const RegionSet& s) {
   return RegionSet::FromSortedUnique(std::move(out));
 }
 
-ContainmentIndex::ContainmentIndex(const RegionSet& s) {
-  lefts_.reserve(s.size());
-  rights_.reserve(s.size());
-  for (const Region& x : s) {
-    lefts_.push_back(x.left);
-    rights_.push_back(x.right);
-  }
-  min_right_ = SparseTable<Offset>(rights_);
-  max_right_ = SparseTable<Offset, std::greater<Offset>>(rights_);
-}
-
-std::pair<size_t, size_t> ContainmentIndex::LeftRange(Offset a, Offset b) const {
-  auto lo = std::lower_bound(lefts_.begin(), lefts_.end(), a);
-  auto hi = std::upper_bound(lo, lefts_.end(), b);
-  return {static_cast<size_t>(lo - lefts_.begin()),
-          static_cast<size_t>(hi - lefts_.begin())};
-}
-
-bool ContainmentIndex::ExistsIncludedIn(const Region& r) const {
-  if (lefts_.empty()) return false;
-  // s with left(s) == left(r) must have right(s) < right(r)...
-  auto [a0, a1] = LeftRange(r.left, r.left);
-  if (a0 < a1 && min_right_.Query(a0, a1) < r.right) return true;
-  // ... while s with left(s) in (left(r), right(r)] only needs
-  // right(s) <= right(r).
-  auto [b0, b1] = LeftRange(r.left + 1, r.right);
-  return b0 < b1 && min_right_.Query(b0, b1) <= r.right;
-}
-
-bool ContainmentIndex::ExistsIncluding(const Region& r) const {
-  if (lefts_.empty()) return false;
-  // s with left(s) < left(r) needs right(s) >= right(r)...
-  auto lo = std::lower_bound(lefts_.begin(), lefts_.end(), r.left);
-  size_t a = static_cast<size_t>(lo - lefts_.begin());
-  if (a > 0 && max_right_.Query(0, a) >= r.right) return true;
-  // ... while s with left(s) == left(r) needs right(s) > right(r).
-  auto [a0, a1] = LeftRange(r.left, r.left);
-  return a0 < a1 && max_right_.Query(a0, a1) > r.right;
-}
-
-bool ContainmentIndex::ExistsContainedIn(const Region& r) const {
-  if (lefts_.empty()) return false;
-  auto [a, b] = LeftRange(r.left, r.right);
-  return a < b && min_right_.Query(a, b) <= r.right;
-}
-
-// The batched probes rewrite each Exists* predicate in terms of plain lower
-// bounds only — upper_bound(x) over integer left endpoints equals
-// lower_bound(x + 1) — so one lower_bound_offsets kernel call resolves every
-// binary search of a tile, and only the O(1) sparse-table range-minimum
-// checks remain per query region. Endpoints at the Offset maximum cannot
-// form the +1 query; their bound is the full array, patched after the call.
-
-void ContainmentIndex::ProbeIncludedIn(const Region* b, size_t n,
-                                       unsigned char* keep,
-                                       const simd::KernelTable* kernels) const {
-  if (lefts_.empty()) {
-    std::fill(keep, keep + n, 0);
-    return;
-  }
-  const simd::KernelTable& kt = kernels ? *kernels : simd::ActiveKernels();
-  constexpr Offset kMaxOff = std::numeric_limits<Offset>::max();
-  const size_t sn = lefts_.size();
-  Offset q[3 * kProbeTile];
-  uint32_t idx[3 * kProbeTile];
-  for (size_t base = 0; base < n; base += kProbeTile) {
-    const size_t m = std::min(kProbeTile, n - base);
-    for (size_t i = 0; i < m; ++i) {
-      const Region& r = b[base + i];
-      q[i] = r.left;
-      q[m + i] = r.left == kMaxOff ? kMaxOff : r.left + 1;
-      q[2 * m + i] = r.right == kMaxOff ? kMaxOff : r.right + 1;
-    }
-    kt.lower_bound_offsets(lefts_.data(), sn, q, 3 * m, idx);
-    for (size_t i = 0; i < m; ++i) {
-      const Region& r = b[base + i];
-      const size_t a0 = idx[i];
-      const size_t a1 = r.left == kMaxOff ? sn : idx[m + i];
-      const size_t b1 = r.right == kMaxOff ? sn : idx[2 * m + i];
-      // s with left(s) == left(r) needs right(s) < right(r); s with left(s)
-      // in (left(r), right(r)] only needs right(s) <= right(r).
-      keep[base + i] =
-          (a0 < a1 && min_right_.Query(a0, a1) < r.right) ||
-          (a1 < b1 && min_right_.Query(a1, b1) <= r.right);
-    }
-  }
-}
-
-void ContainmentIndex::ProbeIncluding(const Region* b, size_t n,
-                                      unsigned char* keep,
-                                      const simd::KernelTable* kernels) const {
-  if (lefts_.empty()) {
-    std::fill(keep, keep + n, 0);
-    return;
-  }
-  const simd::KernelTable& kt = kernels ? *kernels : simd::ActiveKernels();
-  constexpr Offset kMaxOff = std::numeric_limits<Offset>::max();
-  const size_t sn = lefts_.size();
-  Offset q[2 * kProbeTile];
-  uint32_t idx[2 * kProbeTile];
-  for (size_t base = 0; base < n; base += kProbeTile) {
-    const size_t m = std::min(kProbeTile, n - base);
-    for (size_t i = 0; i < m; ++i) {
-      const Region& r = b[base + i];
-      q[i] = r.left;
-      q[m + i] = r.left == kMaxOff ? kMaxOff : r.left + 1;
-    }
-    kt.lower_bound_offsets(lefts_.data(), sn, q, 2 * m, idx);
-    for (size_t i = 0; i < m; ++i) {
-      const Region& r = b[base + i];
-      const size_t a0 = idx[i];
-      const size_t a1 = r.left == kMaxOff ? sn : idx[m + i];
-      // s with left(s) < left(r) needs right(s) >= right(r); s with
-      // left(s) == left(r) needs right(s) > right(r).
-      keep[base + i] =
-          (a0 > 0 && max_right_.Query(0, a0) >= r.right) ||
-          (a0 < a1 && max_right_.Query(a0, a1) > r.right);
-    }
-  }
-}
-
-void ContainmentIndex::ProbeContainedIn(const Region* b, size_t n,
-                                        unsigned char* keep,
-                                        const simd::KernelTable* kernels) const {
-  if (lefts_.empty()) {
-    std::fill(keep, keep + n, 0);
-    return;
-  }
-  const simd::KernelTable& kt = kernels ? *kernels : simd::ActiveKernels();
-  constexpr Offset kMaxOff = std::numeric_limits<Offset>::max();
-  const size_t sn = lefts_.size();
-  Offset q[2 * kProbeTile];
-  uint32_t idx[2 * kProbeTile];
-  for (size_t base = 0; base < n; base += kProbeTile) {
-    const size_t m = std::min(kProbeTile, n - base);
-    for (size_t i = 0; i < m; ++i) {
-      const Region& r = b[base + i];
-      q[i] = r.left;
-      q[m + i] = r.right == kMaxOff ? kMaxOff : r.right + 1;
-    }
-    kt.lower_bound_offsets(lefts_.data(), sn, q, 2 * m, idx);
-    for (size_t i = 0; i < m; ++i) {
-      const Region& r = b[base + i];
-      const size_t a0 = idx[i];
-      const size_t b1 = r.right == kMaxOff ? sn : idx[m + i];
-      keep[base + i] = a0 < b1 && min_right_.Query(a0, b1) <= r.right;
-    }
-  }
-}
-
-bool ContainmentIndex::MinRightContainedIn(const Region& r, Offset* out) const {
-  if (lefts_.empty()) return false;
-  auto [a, b] = LeftRange(r.left, r.right);
-  if (a >= b) return false;
-  Offset m = min_right_.Query(a, b);
-  if (m > r.right) return false;
-  *out = m;
-  return true;
-}
-
-bool ContainmentIndex::MaxLeftContainedIn(const Region& r, Offset* out) const {
-  if (lefts_.empty()) return false;
-  auto [a, b] = LeftRange(r.left, r.right);
-  if (a >= b || min_right_.Query(a, b) > r.right) return false;
-  // Largest index in [a, b) whose right endpoint fits inside r; since lefts
-  // are ascending, it carries the largest qualifying left endpoint.
-  size_t lo = a;
-  size_t hi = b;  // Invariant: some qualifying index lies in [lo, hi).
-  while (hi - lo > 1) {
-    size_t mid = lo + (hi - lo) / 2;
-    if (min_right_.Query(mid, hi) <= r.right) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  *out = lefts_[lo];
-  return true;
-}
-
+// The structural semi-joins charge from the operand sizes alone: one
+// comparison per region of R and one merge step per region swept on either
+// side, so every partitioning of the parallel path reports the same totals.
 RegionSet Including(const RegionSet& r, const RegionSet& s) {
-  ContainmentIndex index(s);
-  ReportCounters(static_cast<int64_t>(r.size()) * ProbeDepth(s.size()), 0,
-                 static_cast<int64_t>(r.size()));
-  std::vector<unsigned char> keep(r.size());
-  index.ProbeIncludedIn(r.regions().data(), r.size(), keep.data());
-  return KeepMarked(r, keep.data());
+  ReportCounters(static_cast<int64_t>(r.size()),
+                 static_cast<int64_t>(r.size() + s.size()), 0);
+  std::vector<Region> out;
+  kernels::IncludingSpan(r.regions().data(), r.regions().data() + r.size(),
+                         s.regions().data(), s.regions().data() + s.size(),
+                         kernels::kEmptyMin, &out);
+  return RegionSet::FromSortedUnique(std::move(out));
 }
 
 RegionSet Included(const RegionSet& r, const RegionSet& s) {
-  ContainmentIndex index(s);
-  ReportCounters(static_cast<int64_t>(r.size()) * ProbeDepth(s.size()), 0,
-                 static_cast<int64_t>(r.size()));
-  std::vector<unsigned char> keep(r.size());
-  index.ProbeIncluding(r.regions().data(), r.size(), keep.data());
-  return KeepMarked(r, keep.data());
+  ReportCounters(static_cast<int64_t>(r.size()),
+                 static_cast<int64_t>(r.size() + s.size()), 0);
+  std::vector<Region> out;
+  kernels::IncludedSpan(r.regions().data(), r.regions().data() + r.size(),
+                        s.regions().data(), s.regions().data() + s.size(),
+                        kernels::kEmptyMax, &out);
+  return RegionSet::FromSortedUnique(std::move(out));
 }
 
 RegionSet Precedes(const RegionSet& r, const RegionSet& s) {
@@ -302,15 +110,13 @@ RegionSet Follows(const RegionSet& r, const RegionSet& s) {
 }
 
 RegionSet SelectByTokens(const RegionSet& r, const std::vector<Token>& tokens) {
-  std::vector<Region> as_regions;
-  as_regions.reserve(tokens.size());
-  for (const Token& t : tokens) as_regions.push_back(Region{t.left, t.right});
-  ContainmentIndex index(RegionSet::FromUnsorted(std::move(as_regions)));
-  ReportCounters(static_cast<int64_t>(r.size()) * ProbeDepth(tokens.size()), 0,
-                 static_cast<int64_t>(r.size()));
-  std::vector<unsigned char> keep(r.size());
-  index.ProbeContainedIn(r.regions().data(), r.size(), keep.data());
-  return KeepMarked(r, keep.data());
+  ReportCounters(static_cast<int64_t>(r.size()),
+                 static_cast<int64_t>(r.size() + tokens.size()), 0);
+  std::vector<Region> out;
+  kernels::SelectSpan(r.regions().data(), r.regions().data() + r.size(),
+                      tokens.data(), tokens.data() + tokens.size(),
+                      kernels::kEmptyMin, &out);
+  return RegionSet::FromSortedUnique(std::move(out));
 }
 
 namespace naive {

@@ -1,20 +1,13 @@
 #ifndef REGAL_CORE_ALGEBRA_H_
 #define REGAL_CORE_ALGEBRA_H_
 
-#include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "core/region.h"
 #include "core/region_set.h"
 #include "text/tokenizer.h"
-#include "util/rmq.h"
 
 namespace regal {
-
-namespace simd {
-struct KernelTable;
-}  // namespace simd
 
 /// Efficient implementations of the region algebra operators of
 /// Definition 2.3. All inputs/outputs are document-ordered RegionSets; no
@@ -22,9 +15,12 @@ struct KernelTable;
 /// sets), so they also serve instances that violate the hierarchy
 /// assumption.
 ///
-/// Complexities: set operations are linear merges; the structural
-/// semi-joins (Including/Included/Select) run in O((|R|+|S|) log |S|) using
-/// a sparse-table index over S; Precedes/Follows are O(|R| + |S|).
+/// Complexities: every operator is O(|R| + |S|). Set operations are linear
+/// merges (galloping when one side is much shorter). The structural
+/// semi-joins (Including/Included/SelectByTokens) are one sweep over both
+/// sorted operands that carries a running minimum or maximum of right
+/// endpoints, with no index; Precedes/Follows compare against one extreme
+/// endpoint of S.
 ///
 /// `naive::` holds O(|R|*|S|) reference implementations used as oracles by
 /// the property tests and as the baseline in bench_operators (experiment E8).
@@ -45,56 +41,11 @@ RegionSet Precedes(const RegionSet& r, const RegionSet& s);
 /// R > S = {r ∈ R : ∃s ∈ S, r follows s}.
 RegionSet Follows(const RegionSet& r, const RegionSet& s);
 
-/// σ_p(R) given the sorted list of tokens matching p: the regions of R
-/// containing (not necessarily strictly) at least one matching token.
+/// σ_p(R) given the tokens matching p: the regions of R containing (not
+/// necessarily strictly) at least one matching token. `tokens` must be
+/// sorted by left endpoint, as WordIndex::Matches returns them (by (left,
+/// right)); duplicates are harmless.
 RegionSet SelectByTokens(const RegionSet& r, const std::vector<Token>& tokens);
-
-/// A reusable index over a fixed region set S answering the existential
-/// tests behind the structural semi-joins in O(log |S|) per probe. Built in
-/// O(|S| log |S|). The extended operators (both-included) reuse it.
-class ContainmentIndex {
- public:
-  ContainmentIndex() = default;
-  explicit ContainmentIndex(const RegionSet& s);
-
-  /// ∃s ∈ S strictly included in r.
-  bool ExistsIncludedIn(const Region& r) const;
-  /// ∃s ∈ S strictly including r.
-  bool ExistsIncluding(const Region& r) const;
-  /// ∃s ∈ S with s contained in r, allowing s == r.
-  bool ExistsContainedIn(const Region& r) const;
-
-  /// Batched forms of the existential tests: keep[i] = whether the predicate
-  /// holds for b[i], for all n query regions. Equivalent to calling the
-  /// corresponding Exists* per element, but the left-endpoint binary
-  /// searches are batched through the SIMD lower-bound kernel (8 probes per
-  /// gather on AVX2). `kernels` selects the kernel tier; nullptr means the
-  /// process-wide active set. The structural semi-joins and their
-  /// partitioned parallel counterparts both route through these.
-  void ProbeIncludedIn(const Region* b, size_t n, unsigned char* keep,
-                       const simd::KernelTable* kernels = nullptr) const;
-  void ProbeIncluding(const Region* b, size_t n, unsigned char* keep,
-                      const simd::KernelTable* kernels = nullptr) const;
-  void ProbeContainedIn(const Region* b, size_t n, unsigned char* keep,
-                        const simd::KernelTable* kernels = nullptr) const;
-
-  /// Smallest right endpoint among S-regions contained in r (equality with
-  /// r allowed); returns false if none.
-  bool MinRightContainedIn(const Region& r, Offset* out) const;
-  /// Largest left endpoint among S-regions contained in r.
-  bool MaxLeftContainedIn(const Region& r, Offset* out) const;
-
-  bool empty() const { return lefts_.empty(); }
-
- private:
-  /// Index range [lo, hi) of S whose left endpoints lie in [a, b].
-  std::pair<size_t, size_t> LeftRange(Offset a, Offset b) const;
-
-  std::vector<Offset> lefts_;   // Sorted ascending (document order majors).
-  std::vector<Offset> rights_;  // Parallel to lefts_.
-  SparseTable<Offset> min_right_;
-  SparseTable<Offset, std::greater<Offset>> max_right_;
-};
 
 namespace naive {
 

@@ -3,9 +3,12 @@
 // core/simd/kernels_body.inc, where one shared source is compiled per
 // instruction set; these wrappers resolve the active table once and forward.
 // Each dispatch bumps regal_exec_kernel_dispatch_total{isa=...} so operators
-// can be attributed to the tier that actually ran them.
+// can be attributed to the tier that actually ran them. The semi-join sweeps
+// at the end are plain scalar loops defined here and dispatch nothing.
 
 #include "core/algebra_kernels.h"
+
+#include <algorithm>
 
 #include "core/simd/simd_kernels.h"
 #include "obs/metrics.h"
@@ -74,10 +77,60 @@ Offset MinRightEndpoint(const Region* b, size_t n) {
   return Active().min_right(b, n);
 }
 
-void LowerBoundOffsets(const Offset* arr, size_t n, const Offset* q, size_t m,
-                       uint32_t* out) {
-  DispatchCounter()->Increment();
-  Active().lower_bound_offsets(arr, n, q, m, out);
+void IncludingSpan(const Region* rb, const Region* re, const Region* sb,
+                   const Region* se, int64_t min_right_beyond,
+                   std::vector<Region>* out) {
+  const size_t base = out->size();
+  int64_t min_right = min_right_beyond;
+  size_t j = static_cast<size_t>(se - sb);
+  for (size_t i = static_cast<size_t>(re - rb); i-- > 0;) {
+    const Region& x = rb[i];
+    for (; j > 0 && sb[j - 1].left > x.left; --j) {
+      min_right = std::min<int64_t>(min_right, sb[j - 1].right);
+    }
+    // sb[j - 1], if any, closes S's group at x.left and has its smallest
+    // right; an equal left needs a strictly smaller right.
+    if (min_right <= x.right ||
+        (j > 0 && sb[j - 1].left == x.left && sb[j - 1].right < x.right)) {
+      out->push_back(x);
+    }
+  }
+  std::reverse(out->begin() + static_cast<ptrdiff_t>(base), out->end());
+}
+
+void IncludedSpan(const Region* rb, const Region* re, const Region* sb,
+                  const Region* se, int64_t max_right_before,
+                  std::vector<Region>* out) {
+  int64_t max_right = max_right_before;
+  const size_t m = static_cast<size_t>(se - sb);
+  size_t j = 0;
+  for (const Region* x = rb; x != re; ++x) {
+    for (; j < m && sb[j].left < x->left; ++j) {
+      max_right = std::max<int64_t>(max_right, sb[j].right);
+    }
+    // sb[j], if any, opens S's group at x.left and has its largest right;
+    // an equal left needs a strictly larger right.
+    if (max_right >= x->right ||
+        (j < m && sb[j].left == x->left && sb[j].right > x->right)) {
+      out->push_back(*x);
+    }
+  }
+}
+
+void SelectSpan(const Region* rb, const Region* re, const Token* tb,
+                const Token* te, int64_t min_right_beyond,
+                std::vector<Region>* out) {
+  const size_t base = out->size();
+  int64_t min_right = min_right_beyond;
+  size_t j = static_cast<size_t>(te - tb);
+  for (size_t i = static_cast<size_t>(re - rb); i-- > 0;) {
+    const Region& x = rb[i];
+    for (; j > 0 && tb[j - 1].left >= x.left; --j) {
+      min_right = std::min<int64_t>(min_right, tb[j - 1].right);
+    }
+    if (min_right <= x.right) out->push_back(x);
+  }
+  std::reverse(out->begin() + static_cast<ptrdiff_t>(base), out->end());
 }
 
 void FlushCounters(const obs::OpCounters& counters) {

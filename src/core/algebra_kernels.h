@@ -7,15 +7,17 @@
 
 #include "core/region.h"
 #include "obs/counters.h"
+#include "text/tokenizer.h"
 
 namespace regal {
 namespace kernels {
 
-/// Span-level merge kernels behind the set operators. The sequential
-/// operators in core/algebra.cc run them over the full operands; the
-/// partitioned parallel kernels in exec/parallel_algebra.cc run them per
-/// contiguous chunk. Sharing the loop bodies is what makes the parallel
-/// results bit-identical to the sequential ones by construction.
+/// Span-level kernels behind the set operators and the structural
+/// semi-joins. The sequential operators in core/algebra.cc run them over the
+/// full operands; the partitioned parallel kernels in
+/// exec/parallel_algebra.cc run them per contiguous chunk. Sharing the loop
+/// bodies is what makes the parallel results bit-identical to the sequential
+/// ones by construction.
 ///
 /// Inputs are document-ordered, duplicate-free ranges; output is appended to
 /// `out` in document order. Work is tallied into `counters` (never into the
@@ -27,11 +29,12 @@ namespace kernels {
 /// set operations cost O(small * log(large)) instead of O(small + large).
 inline constexpr ptrdiff_t kGallopRatio = 16;
 
-/// Every function below dispatches once per call to the active SIMD kernel
-/// set (core/simd), selected from the CPU's capabilities and the REGAL_SIMD
-/// environment override. All variants are bit-identical in output and exact
-/// in counters, so callers — sequential and partitioned alike — see the same
-/// results on every tier; only throughput differs.
+/// Every function below up to MinRightEndpoint dispatches once per call to
+/// the active SIMD kernel set (core/simd), selected from the CPU's
+/// capabilities and the REGAL_SIMD environment override. All variants are
+/// bit-identical in output and exact in counters, so callers — sequential
+/// and partitioned alike — see the same results on every tier; only
+/// throughput differs.
 
 void UnionSpan(const Region* rb, const Region* re, const Region* sb,
                const Region* se, std::vector<Region>* out,
@@ -66,11 +69,43 @@ void FilterLeftAfter(const Region* b, size_t n, Offset bound,
 /// Minimum right endpoint over [b, b+n); n must be > 0.
 Offset MinRightEndpoint(const Region* b, size_t n);
 
-/// Batched lower_bound: out[i] = index of the first element of the sorted
-/// array arr[0, n) that is >= q[i], for each of the m queries. Wide tiers
-/// resolve 8 probes per gather instruction.
-void LowerBoundOffsets(const Offset* arr, size_t n, const Offset* q, size_t m,
-                       uint32_t* out);
+/// Sweeps behind the structural semi-joins ⊃, ⊂ and σ, in O(|R span| +
+/// |S span|). Plain scalar loops: no KernelTable entry, no dispatch count,
+/// no counter tallying (the operators charge by operand size). Each appends
+/// to `out`, in document order, the x in [rb, re) that have a witness in the
+/// right operand. Running extremes are int64_t, and kEmptyMin / kEmptyMax
+/// stand for "no region yet", so an empty set never matches a region ending
+/// at the largest Offset.
+inline constexpr int64_t kEmptyMin = INT64_MAX;
+inline constexpr int64_t kEmptyMax = INT64_MIN;
+
+/// R ⊃ S: keeps x if some y of S is strictly included in x. Walks R backward
+/// with the minimum right endpoint of the S regions whose left exceeds
+/// x.left, and checks the last (smallest) member of S's group at x.left.
+/// [sb, se) is a prefix of S holding every region whose left is at most the
+/// last left in [rb, re); `min_right_beyond` is the minimum right endpoint
+/// of the rest of S. A whole-operand call passes all of S and kEmptyMin.
+void IncludingSpan(const Region* rb, const Region* re, const Region* sb,
+                   const Region* se, int64_t min_right_beyond,
+                   std::vector<Region>* out);
+
+/// R ⊂ S: keeps x if some y of S strictly includes x. Walks R forward with
+/// the maximum right endpoint of the S regions whose left is below x.left,
+/// and checks the first (largest) member of S's group at x.left. [sb, se) is
+/// a suffix of S holding every region whose left is at least the first left
+/// in [rb, re); `max_right_before` is the maximum right endpoint of the rest
+/// of S. A whole-operand call passes all of S and kEmptyMax.
+void IncludedSpan(const Region* rb, const Region* re, const Region* sb,
+                  const Region* se, int64_t max_right_before,
+                  std::vector<Region>* out);
+
+/// σ: keeps x if some token lies within x (equality allowed). Walks R
+/// backward with the minimum right endpoint of the tokens whose left is at
+/// least x.left. Tokens are sorted by left; [tb, te) and `min_right_beyond`
+/// follow IncludingSpan's contract.
+void SelectSpan(const Region* rb, const Region* re, const Token* tb,
+                const Token* te, int64_t min_right_beyond,
+                std::vector<Region>* out);
 
 /// Adds `counters` to the calling thread's obs sink, if one is installed —
 /// the flush half of the tally-locally/flush-once discipline of

@@ -4,6 +4,7 @@
 #include <map>
 
 #include "core/algebra.h"
+#include "core/algebra_kernels.h"
 
 namespace regal {
 
@@ -37,23 +38,32 @@ RegionSet DirectIncluded(const Instance& instance, const RegionSet& r,
   return RegionSet::FromSortedUnique(std::move(out));
 }
 
+// One backward sweep over R with a cursor into S and one into T. e is the
+// smallest right endpoint of the S regions with left >= x.left: when e <=
+// x.right, the S region ending there is the witness inside x that ends
+// first, which leaves the most room for T. f is the smallest right endpoint
+// of the T regions with left > e, so x qualifies iff e and f both fit
+// inside x. Strictness comes free: then s.right = e < t.left <= x.right and
+// t.left > x.left, so neither witness equals x. As x.left falls, e can only
+// fall, so the T cursor moves one way too.
 RegionSet BothIncluded(const RegionSet& r, const RegionSet& s,
                        const RegionSet& t) {
-  ContainmentIndex s_index(s);
-  ContainmentIndex t_index(t);
   std::vector<Region> out;
-  for (const Region& x : r) {
-    Offset first_s_end;
-    Offset last_t_start;
-    // Containment here is non-strict, but a non-strict witness (s == x or
-    // t == x) can never satisfy s < t inside x, so the test below is exact
-    // for the strict definition too.
-    if (s_index.MinRightContainedIn(x, &first_s_end) &&
-        t_index.MaxLeftContainedIn(x, &last_t_start) &&
-        first_s_end < last_t_start) {
-      out.push_back(x);
+  int64_t e = kernels::kEmptyMin;
+  int64_t f = kernels::kEmptyMin;
+  size_t j = s.size();
+  size_t k = t.size();
+  for (size_t i = r.size(); i-- > 0;) {
+    const Region& x = r[i];
+    for (; j > 0 && s[j - 1].left >= x.left; --j) {
+      e = std::min<int64_t>(e, s[j - 1].right);
     }
+    for (; k > 0 && t[k - 1].left > e; --k) {
+      f = std::min<int64_t>(f, t[k - 1].right);
+    }
+    if (e <= x.right && f <= x.right) out.push_back(x);
   }
+  std::reverse(out.begin(), out.end());
   return RegionSet::FromSortedUnique(std::move(out));
 }
 

@@ -32,9 +32,8 @@ RegionSet DirectIncluded(const Instance& instance, const RegionSet& r,
                          const RegionSet& s);
 
 /// R BI (S, T) = {r ∈ R : ∃s ∈ S, t ∈ T, r ⊃ s, r ⊃ t, s < t}
-/// (Section 5.2). O((|R| + |S| + |T|) log) via two containment indexes:
-/// r qualifies iff the smallest right endpoint of an S region inside r
-/// precedes the largest left endpoint of a T region inside r.
+/// (Section 5.2). One O(|R| + |S| + |T|) sweep: r qualifies iff some T
+/// region inside r starts after the first-ending S region inside r.
 RegionSet BothIncluded(const RegionSet& r, const RegionSet& s,
                        const RegionSet& t);
 

@@ -14,7 +14,7 @@ namespace {
 #define REGAL_SIMD_TABLE_ENTRIES(ns)                                        \
   &ns::UnionSpan, &ns::IntersectSpan, &ns::DifferenceSpan,                  \
       &ns::GallopLowerBound, &ns::FilterRightBefore, &ns::FilterLeftAfter,  \
-      &ns::MinRight, &ns::LowerBoundOffsets
+      &ns::MinRight
 
 constexpr KernelTable kScalarTable = {Isa::kScalar, "scalar",
                                       REGAL_SIMD_TABLE_ENTRIES(scalar)};

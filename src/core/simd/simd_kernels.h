@@ -75,12 +75,6 @@ struct KernelTable {
 
   /// Minimum right endpoint over [b, b+n); n must be > 0.
   Offset (*min_right)(const Region* b, size_t n);
-
-  /// Batched lower_bound over a sorted Offset array: out[i] = index of the
-  /// first element of arr[0, n) that is >= q[i]. The probe loop is uniform
-  /// across queries, so wide variants resolve 8 probes per gather.
-  void (*lower_bound_offsets)(const Offset* arr, size_t n, const Offset* q,
-                              size_t m, uint32_t* out);
 };
 
 /// The kernel set for `isa`, degraded to the nearest tier the CPU actually

@@ -1,8 +1,8 @@
 // AVX2 instantiation of the shared kernel body: 4 regions per ymm compare,
-// 8-wide gathers in the batched lower bound, permutevar8x32 left-packing in
-// the endpoint filters. Per-function target attributes keep the rest of the
-// binary baseline; util::CpuInfo gates whether these symbols are ever called
-// (including the xgetbv check for OS ymm-state support).
+// permutevar8x32 left-packing in the endpoint filters. Per-function target
+// attributes keep the rest of the binary baseline; util::CpuInfo gates
+// whether these symbols are ever called (including the xgetbv check for OS
+// ymm-state support).
 
 #include "core/simd/simd_variants.h"
 

@@ -46,8 +46,6 @@ namespace simd {
   attr void FilterLeftAfter(const Region* b, size_t n, Offset bound,           \
                             std::vector<Region>* out);                         \
   attr Offset MinRight(const Region* b, size_t n);                             \
-  attr void LowerBoundOffsets(const Offset* arr, size_t n, const Offset* q,    \
-                              size_t m, uint32_t* out);                        \
   }  // namespace ns
 
 #define REGAL_SIMD_NO_ATTR

@@ -1,7 +1,6 @@
 #include "exec/parallel_algebra.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "core/algebra.h"
 #include "core/algebra_kernels.h"
@@ -50,11 +49,6 @@ bool DegradeKernel(const char* op, const ParallelConfig& cfg) {
     cfg.fallbacks->fetch_add(1, std::memory_order_relaxed);
   }
   return true;
-}
-
-// Same per-probe comparison charge as core/algebra.cc.
-int64_t ProbeDepth(size_t n) {
-  return static_cast<int64_t>(std::bit_width(n) + 1);
 }
 
 std::vector<Region> Concatenate(std::vector<std::vector<Region>>* chunks) {
@@ -121,54 +115,32 @@ RegionSet PartitionedMerge(const char* op, const RegionSet& r,
   return RegionSet::FromSortedUnique(Concatenate(&outs));
 }
 
-// Analytic counter charge of a partitioned filter over R: `per_element`
-// per probed element (matching the sequential operators) plus `fixed` per
-// call. The charge is independent of how R is chunked, so sequential and
-// partitioned runs report identical counters.
-obs::OpCounters FilterCharge(size_t rows, const obs::OpCounters& per_element,
-                             const obs::OpCounters& fixed) {
-  obs::OpCounters total = fixed;
-  total.comparisons += per_element.comparisons * static_cast<int64_t>(rows);
-  total.merge_steps += per_element.merge_steps * static_cast<int64_t>(rows);
-  total.index_probes += per_element.index_probes * static_cast<int64_t>(rows);
-  return total;
+// Counter charge of the operators that charge from operand sizes alone (⊃,
+// ⊂, σ, <, >), as core/algebra.cc does: one comparison per row of R, and one
+// merge step per row plus `extra` for what they read of the right operand.
+// It is independent of how R is chunked, so sequential and partitioned runs
+// report identical counters.
+obs::OpCounters SizeCharge(size_t rows, size_t extra) {
+  return obs::OpCounters{static_cast<int64_t>(rows),
+                         static_cast<int64_t>(rows + extra), 0};
 }
 
-// Partitioned batched-probe filter of R: chunk k runs `probe` (one of the
-// ContainmentIndex::Probe* batch predicates) over R[cut_k, cut_{k+1}) into a
-// chunk-local keep mask and collects the marked elements. The probes batch
-// their binary searches through the SIMD lower-bound kernel; chunking only
-// changes tile boundaries, never the per-element answers.
-template <typename Probe>
-RegionSet PartitionedProbeFilter(const char* op, const RegionSet& r,
-                                 Probe probe,
-                                 const obs::OpCounters& per_element,
-                                 const obs::OpCounters& fixed,
-                                 const ParallelConfig& cfg) {
-  const Region* rd = r.regions().data();
-  const obs::OpCounters total = FilterCharge(r.size(), per_element, fixed);
-  const int parts = PartitionCount(cfg, r.size());
-  if (parts <= 1) {
-    std::vector<unsigned char> keep(r.size());
-    probe(rd, r.size(), keep.data());
-    std::vector<Region> out;
-    for (size_t i = 0; i < r.size(); ++i) {
-      if (keep[i]) out.push_back(rd[i]);
-    }
-    kernels::FlushCounters(total);
-    return RegionSet::FromSortedUnique(std::move(out));
-  }
-  const size_t np = static_cast<size_t>(parts);
+// First index of R's chunk k when R is cut into np contiguous chunks.
+size_t ChunkBegin(size_t rows, size_t np, size_t k) { return k * rows / np; }
+
+// Runs `chunk(k, begin, end, &out_k)` for every one of the np index chunks
+// of R on the pool, flushes `total` and concatenates the chunk outputs.
+// Each chunk's output is a document-ordered subset of its slice of R, so
+// the concatenation is the full filtered set.
+template <typename ChunkFn>
+RegionSet RunChunks(const char* op, const RegionSet& r, size_t np,
+                    const obs::OpCounters& total, const ParallelConfig& cfg,
+                    ChunkFn chunk) {
   std::vector<std::vector<Region>> outs(np);
   PoolOf(cfg).ParallelFor(np, [&](size_t k) {
     if (cfg.ctx != nullptr && cfg.ctx->ShouldAbort()) return;
-    const size_t begin = k * r.size() / np;
-    const size_t end = (k + 1) * r.size() / np;
-    std::vector<unsigned char> keep(end - begin);
-    probe(rd + begin, end - begin, keep.data());
-    for (size_t i = begin; i < end; ++i) {
-      if (keep[i - begin]) outs[k].push_back(rd[i]);
-    }
+    chunk(k, ChunkBegin(r.size(), np, k), ChunkBegin(r.size(), np, k + 1),
+          &outs[k]);
   });
   kernels::FlushCounters(total);
   CountParallelDispatch(op);
@@ -177,18 +149,15 @@ RegionSet PartitionedProbeFilter(const char* op, const RegionSet& r,
 
 // Partitioned endpoint filter of R behind Precedes/Follows: chunk k runs the
 // dispatched left-packing filter kernel over its slice straight into its
-// output vector. Order-preserving per chunk, so concatenation is the full
-// filtered set.
+// output vector.
 using FilterKernel = void (*)(const Region*, size_t, Offset,
                               std::vector<Region>*);
 
 RegionSet PartitionedEndpointFilter(const char* op, const RegionSet& r,
                                     FilterKernel kernel, Offset bound,
-                                    const obs::OpCounters& per_element,
-                                    const obs::OpCounters& fixed,
+                                    const obs::OpCounters& total,
                                     const ParallelConfig& cfg) {
   const Region* rd = r.regions().data();
-  const obs::OpCounters total = FilterCharge(r.size(), per_element, fixed);
   const int parts = PartitionCount(cfg, r.size());
   if (parts <= 1) {
     std::vector<Region> out;
@@ -196,17 +165,68 @@ RegionSet PartitionedEndpointFilter(const char* op, const RegionSet& r,
     kernels::FlushCounters(total);
     return RegionSet::FromSortedUnique(std::move(out));
   }
-  const size_t np = static_cast<size_t>(parts);
-  std::vector<std::vector<Region>> outs(np);
-  PoolOf(cfg).ParallelFor(np, [&](size_t k) {
-    if (cfg.ctx != nullptr && cfg.ctx->ShouldAbort()) return;
-    const size_t begin = k * r.size() / np;
-    const size_t end = (k + 1) * r.size() / np;
-    kernel(rd + begin, end - begin, bound, &outs[k]);
-  });
-  kernels::FlushCounters(total);
-  CountParallelDispatch(op);
-  return RegionSet::FromSortedUnique(Concatenate(&outs));
+  return RunChunks(op, r, static_cast<size_t>(parts), total, cfg,
+                   [&](size_t, size_t begin, size_t end,
+                       std::vector<Region>* out) {
+                     kernel(rd + begin, end - begin, bound, out);
+                   });
+}
+
+// Where each chunk's semi-join sweep stops in the right operand W, and the
+// extreme right endpoint of W beyond that stop: the chunk's seed.
+struct SweepSeeds {
+  std::vector<size_t> cut;
+  std::vector<int64_t> seed;
+};
+
+// For the backward sweeps (⊃, σ): chunk k sweeps the prefix of W up to
+// cut[k], the first witness whose left exceeds the chunk's last left, and
+// seed[k] is the minimum right endpoint of W from cut[k] on. One backward
+// pass over W fills every seed.
+template <typename W>
+SweepSeeds SuffixSeeds(const RegionSet& r, const std::vector<W>& w,
+                       size_t np) {
+  SweepSeeds out{std::vector<size_t>(np), std::vector<int64_t>(np)};
+  for (size_t k = 0; k < np; ++k) {
+    const Offset last = r[ChunkBegin(r.size(), np, k + 1) - 1].left;
+    out.cut[k] = static_cast<size_t>(
+        std::upper_bound(w.begin(), w.end(), last,
+                         [](Offset v, const W& x) { return v < x.left; }) -
+        w.begin());
+  }
+  int64_t min_right = kernels::kEmptyMin;
+  size_t i = w.size();
+  for (size_t k = np; k-- > 0;) {
+    for (; i > out.cut[k]; --i) {
+      min_right = std::min<int64_t>(min_right, w[i - 1].right);
+    }
+    out.seed[k] = min_right;
+  }
+  return out;
+}
+
+// For the forward sweep (⊂): chunk k sweeps the suffix of S from cut[k], the
+// first region whose left is at least the chunk's first left, and seed[k] is
+// the maximum right endpoint of S before cut[k]. One forward pass over S
+// fills every seed.
+SweepSeeds PrefixSeeds(const RegionSet& r, const RegionSet& s, size_t np) {
+  SweepSeeds out{std::vector<size_t>(np), std::vector<int64_t>(np)};
+  for (size_t k = 0; k < np; ++k) {
+    const Offset first = r[ChunkBegin(r.size(), np, k)].left;
+    out.cut[k] = static_cast<size_t>(
+        std::lower_bound(s.begin(), s.end(), first,
+                         [](const Region& x, Offset v) { return x.left < v; }) -
+        s.begin());
+  }
+  int64_t max_right = kernels::kEmptyMax;
+  size_t i = 0;
+  for (size_t k = 0; k < np; ++k) {
+    for (; i < out.cut[k]; ++i) {
+      max_right = std::max<int64_t>(max_right, s[i].right);
+    }
+    out.seed[k] = max_right;
+  }
+  return out;
 }
 
 bool BelowGate(const ParallelConfig& cfg, size_t rows) {
@@ -245,26 +265,38 @@ RegionSet ParallelIncluding(const RegionSet& r, const RegionSet& s,
                             const ParallelConfig& cfg) {
   if (BelowGate(cfg, r.size() + s.size())) return Including(r, s);
   if (DegradeKernel("including", cfg)) return Including(r, s);
-  ContainmentIndex index(s);
-  return PartitionedProbeFilter(
-      "including", r,
-      [&index](const Region* b, size_t n, unsigned char* keep) {
-        index.ProbeIncludedIn(b, n, keep);
-      },
-      obs::OpCounters{ProbeDepth(s.size()), 0, 1}, obs::OpCounters{}, cfg);
+  const int parts = PartitionCount(cfg, r.size());
+  if (parts <= 1) return Including(r, s);
+  const size_t np = static_cast<size_t>(parts);
+  const SweepSeeds seeds = SuffixSeeds(r, s.regions(), np);
+  const Region* rd = r.regions().data();
+  const Region* sd = s.regions().data();
+  return RunChunks("including", r, np, SizeCharge(r.size(), s.size()), cfg,
+                   [&](size_t k, size_t begin, size_t end,
+                       std::vector<Region>* out) {
+                     kernels::IncludingSpan(rd + begin, rd + end, sd,
+                                            sd + seeds.cut[k], seeds.seed[k],
+                                            out);
+                   });
 }
 
 RegionSet ParallelIncluded(const RegionSet& r, const RegionSet& s,
                            const ParallelConfig& cfg) {
   if (BelowGate(cfg, r.size() + s.size())) return Included(r, s);
   if (DegradeKernel("included", cfg)) return Included(r, s);
-  ContainmentIndex index(s);
-  return PartitionedProbeFilter(
-      "included", r,
-      [&index](const Region* b, size_t n, unsigned char* keep) {
-        index.ProbeIncluding(b, n, keep);
-      },
-      obs::OpCounters{ProbeDepth(s.size()), 0, 1}, obs::OpCounters{}, cfg);
+  const int parts = PartitionCount(cfg, r.size());
+  if (parts <= 1) return Included(r, s);
+  const size_t np = static_cast<size_t>(parts);
+  const SweepSeeds seeds = PrefixSeeds(r, s, np);
+  const Region* rd = r.regions().data();
+  const Region* sd = s.regions().data();
+  return RunChunks("included", r, np, SizeCharge(r.size(), s.size()), cfg,
+                   [&](size_t k, size_t begin, size_t end,
+                       std::vector<Region>* out) {
+                     kernels::IncludedSpan(rd + begin, rd + end,
+                                           sd + seeds.cut[k], sd + s.size(),
+                                           seeds.seed[k], out);
+                   });
 }
 
 RegionSet ParallelPrecedes(const RegionSet& r, const RegionSet& s,
@@ -272,15 +304,12 @@ RegionSet ParallelPrecedes(const RegionSet& r, const RegionSet& s,
   if (BelowGate(cfg, r.size() + s.size())) return Precedes(r, s);
   if (DegradeKernel("precedes", cfg)) return Precedes(r, s);
   if (s.empty()) {
-    kernels::FlushCounters(
-        obs::OpCounters{static_cast<int64_t>(r.size()),
-                        static_cast<int64_t>(r.size()), 0});
+    kernels::FlushCounters(SizeCharge(r.size(), 0));
     return RegionSet();
   }
   const Offset max_left = s[s.size() - 1].left;
   return PartitionedEndpointFilter("precedes", r, &kernels::FilterRightBefore,
-                                   max_left, obs::OpCounters{1, 1, 0},
-                                   obs::OpCounters{0, 1, 0}, cfg);
+                                   max_left, SizeCharge(r.size(), 1), cfg);
 }
 
 RegionSet ParallelFollows(const RegionSet& r, const RegionSet& s,
@@ -288,16 +317,13 @@ RegionSet ParallelFollows(const RegionSet& r, const RegionSet& s,
   if (BelowGate(cfg, r.size() + s.size())) return Follows(r, s);
   if (DegradeKernel("follows", cfg)) return Follows(r, s);
   if (s.empty()) {
-    kernels::FlushCounters(
-        obs::OpCounters{static_cast<int64_t>(r.size()),
-                        static_cast<int64_t>(r.size() + s.size()), 0});
+    kernels::FlushCounters(SizeCharge(r.size(), 0));
     return RegionSet();
   }
   const Offset min_right = kernels::MinRightEndpoint(s.regions().data(), s.size());
-  return PartitionedEndpointFilter(
-      "follows", r, &kernels::FilterLeftAfter, min_right,
-      obs::OpCounters{1, 1, 0},
-      obs::OpCounters{0, static_cast<int64_t>(s.size()), 0}, cfg);
+  return PartitionedEndpointFilter("follows", r, &kernels::FilterLeftAfter,
+                                   min_right, SizeCharge(r.size(), s.size()),
+                                   cfg);
 }
 
 RegionSet ParallelSelectByTokens(const RegionSet& r,
@@ -307,17 +333,18 @@ RegionSet ParallelSelectByTokens(const RegionSet& r,
     return SelectByTokens(r, tokens);
   }
   if (DegradeKernel("select", cfg)) return SelectByTokens(r, tokens);
-  std::vector<Region> as_regions;
-  as_regions.reserve(tokens.size());
-  for (const Token& t : tokens) as_regions.push_back(Region{t.left, t.right});
-  ContainmentIndex index(RegionSet::FromUnsorted(std::move(as_regions)));
-  return PartitionedProbeFilter(
-      "select", r,
-      [&index](const Region* b, size_t n, unsigned char* keep) {
-        index.ProbeContainedIn(b, n, keep);
-      },
-      obs::OpCounters{ProbeDepth(tokens.size()), 0, 1}, obs::OpCounters{},
-      cfg);
+  const int parts = PartitionCount(cfg, r.size());
+  if (parts <= 1) return SelectByTokens(r, tokens);
+  const size_t np = static_cast<size_t>(parts);
+  const SweepSeeds seeds = SuffixSeeds(r, tokens, np);
+  const Region* rd = r.regions().data();
+  return RunChunks("select", r, np, SizeCharge(r.size(), tokens.size()), cfg,
+                   [&](size_t k, size_t begin, size_t end,
+                       std::vector<Region>* out) {
+                     kernels::SelectSpan(rd + begin, rd + end, tokens.data(),
+                                         tokens.data() + seeds.cut[k],
+                                         seeds.seed[k], out);
+                   });
 }
 
 }  // namespace exec

@@ -35,17 +35,29 @@ struct ParallelConfig {
 };
 
 /// Data-parallel versions of the hot region-algebra operators. Each one
-/// partitions the left operand into contiguous document-order chunks, pairs
-/// every chunk with the binary-searched window of the right operand covering
-/// the same endpoint range, runs the *same* span kernels / probe predicates
-/// as the sequential operators per chunk on the pool, and concatenates the
-/// per-chunk outputs. Chunks are endpoint-ordered, so the concatenation is
-/// sorted and the result is bit-identical to the sequential operator —
-/// enforced by tests/parallel_exec_test.cpp across thread counts.
+/// partitions the left operand into contiguous document-order chunks, runs
+/// the *same* span kernel as the sequential operator per chunk on the pool,
+/// and concatenates the per-chunk outputs:
 ///
-/// Operator work counters are tallied per chunk and flushed to the calling
-/// thread's obs sink once, so `explain analyze` totals match the sequential
-/// path. Inputs below cfg.min_rows short-circuit to the sequential operator.
+///  * the set merges (∪, ∩, −) pair every chunk with the binary-searched
+///    window of the right operand covering the same endpoint range;
+///  * the semi-join sweeps (⊃, ⊂, σ) give every chunk the prefix or suffix of
+///    the right operand its sweep can reach, seeded with the minimum (⊃, σ)
+///    or maximum (⊂) right endpoint of the rest, found by one pass over the
+///    right operand;
+///  * the order semi-joins (<, >) filter every chunk against one endpoint.
+///
+/// Chunks are endpoint-ordered, so the concatenation is sorted and the
+/// result is bit-identical to the sequential operator — enforced by
+/// tests/parallel_exec_test.cpp across thread counts.
+///
+/// Operator work counters are flushed to the calling thread's obs sink once
+/// per call. ⊃, ⊂, σ, < and > charge from the operand sizes alone, so their
+/// totals equal the sequential operator's for every chunking. The set merges
+/// tally per chunk, and each chunk restarts its gallop and dense-burst
+/// decisions at its cut, so their totals can differ from the sequential
+/// path's by the work at chunk boundaries. Inputs below cfg.min_rows
+/// short-circuit to the sequential operator.
 RegionSet ParallelUnion(const RegionSet& r, const RegionSet& s,
                         const ParallelConfig& cfg = {});
 RegionSet ParallelIntersect(const RegionSet& r, const RegionSet& s,

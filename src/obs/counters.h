@@ -12,17 +12,18 @@ namespace obs {
 ///  * `comparisons`  — region/region or token/pattern comparisons. Linear
 ///    merges count one per consumed element (a bulk-appended run of c
 ///    elements charges c, so the SIMD and scalar kernel tiers agree
-///    exactly); gallop/binary-search phases charge the deterministic
+///    exactly); the structural semi-joins count one per region of their
+///    left operand; gallop/binary-search phases charge the deterministic
 ///    worst-case depth of the probed range (⌈log2⌉-style, not the
 ///    data-dependent early-exit count), so the counter stays exact-shape
 ///    without instrumenting std::lower_bound and is identical across ISA
 ///    tiers; naive oracles count their inner-loop iterations, so the
 ///    quadratic/linear gap of E8 is directly visible in this counter.
 ///  * `merge_steps`  — input elements consumed by linear sweeps (set
-///    operations, order semi-joins, token merges).
+///    operations, order and structural semi-joins, token merges).
 ///  * `index_probes` — point lookups against an index structure: one per
-///    ContainmentIndex existence test and one per suffix-array/vocabulary
-///    probe in the word indexes.
+///    suffix-array/vocabulary probe in the word indexes, and one per
+///    RegionSet::Member lookup in the naive set oracles.
 ///
 /// Collection is opt-in via a thread-local sink: operators tally into stack
 /// locals (free — they live in registers) and flush once per call *only*

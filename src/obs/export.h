@@ -12,7 +12,7 @@ namespace obs {
 
 /// Human-readable rendering of a span tree, one node per line:
 ///
-///   within  rows=120  cmp=1520  merge=0  probes=240  est=96  0.214 ms
+///   within  rows=120  cmp=4096  merge=5120  est=96  0.214 ms
 ///   ├─ scan sense  rows=4096
 ///   └─ scan entry  rows=1024
 ///

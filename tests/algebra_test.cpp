@@ -1,21 +1,34 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "core/algebra.h"
+#include "core/extended.h"
 #include "util/random.h"
 
 namespace regal {
 namespace {
 
+// A random endpoint in [0, universe). With `edges`, draws in the upper half
+// of that range move to the top of the Offset range instead, so regions
+// start at 0 and end at the largest Offset.
+Offset RandomEndpoint(Rng& rng, Offset universe, bool edges) {
+  const Offset v = static_cast<Offset>(rng.Below(static_cast<uint64_t>(universe)));
+  if (!edges || v < universe / 2) return v;
+  return std::numeric_limits<Offset>::max() - (v - universe / 2);
+}
+
 // A random (not necessarily laminar) region set over a small coordinate
 // universe, to stress duplicates-of-endpoints cases.
-RegionSet RandomSet(Rng& rng, int max_size, Offset universe) {
+RegionSet RandomSet(Rng& rng, int max_size, Offset universe,
+                    bool edges = false) {
   std::vector<Region> regions;
   int n = static_cast<int>(rng.Below(static_cast<uint64_t>(max_size + 1)));
   for (int i = 0; i < n; ++i) {
-    Offset a = static_cast<Offset>(rng.Below(static_cast<uint64_t>(universe)));
-    Offset b = static_cast<Offset>(rng.Below(static_cast<uint64_t>(universe)));
+    Offset a = RandomEndpoint(rng, universe, edges);
+    Offset b = RandomEndpoint(rng, universe, edges);
     regions.push_back(Region{std::min(a, b), std::max(a, b)});
   }
   return RegionSet::FromUnsorted(std::move(regions));
@@ -86,6 +99,14 @@ TEST(AlgebraTest, EmptyOperands) {
   EXPECT_TRUE(Intersect(a, e).empty());
   EXPECT_EQ(Difference(a, e), a);
   EXPECT_TRUE(Including(e, a).empty());
+  // An empty operand has no extreme endpoint, not one at the largest Offset.
+  const Offset max = std::numeric_limits<Offset>::max();
+  RegionSet top{Region{0, max}, Region{max, max}};
+  EXPECT_TRUE(Including(top, e).empty());
+  EXPECT_TRUE(Included(top, e).empty());
+  EXPECT_TRUE(SelectByTokens(top, {}).empty());
+  EXPECT_TRUE(BothIncluded(top, e, e).empty());
+  EXPECT_TRUE(BothIncluded(top, RegionSet{Region{1, 2}}, e).empty());
 }
 
 TEST(AlgebraTest, SelectByTokensContainment) {
@@ -96,62 +117,48 @@ TEST(AlgebraTest, SelectByTokensContainment) {
             (RegionSet{Region{12, 20}, Region{14, 16}}));
 }
 
-TEST(ContainmentIndexTest, MinMaxQueries) {
-  RegionSet s{Region{2, 4}, Region{6, 8}, Region{10, 12}};
-  ContainmentIndex index(s);
-  Offset v = -1;
-  ASSERT_TRUE(index.MinRightContainedIn(Region{0, 20}, &v));
-  EXPECT_EQ(v, 4);
-  ASSERT_TRUE(index.MaxLeftContainedIn(Region{0, 20}, &v));
-  EXPECT_EQ(v, 10);
-  ASSERT_TRUE(index.MinRightContainedIn(Region{5, 9}, &v));
-  EXPECT_EQ(v, 8);
-  EXPECT_FALSE(index.MinRightContainedIn(Region{13, 20}, &v));
-  // [9, 11] contains no full region.
-  EXPECT_FALSE(index.MinRightContainedIn(Region{9, 11}, &v));
-}
-
-TEST(ContainmentIndexTest, EmptyIndex) {
-  ContainmentIndex index((RegionSet()));
-  Offset v;
-  EXPECT_TRUE(index.empty());
-  EXPECT_FALSE(index.ExistsIncludedIn(Region{0, 10}));
-  EXPECT_FALSE(index.ExistsIncluding(Region{0, 10}));
-  EXPECT_FALSE(index.MinRightContainedIn(Region{0, 10}, &v));
-  EXPECT_FALSE(index.MaxLeftContainedIn(Region{0, 10}, &v));
-}
-
 // Property tests: the efficient operators agree with the O(n*m) reference
 // implementations on random (arbitrary, not only laminar) region sets.
 class AlgebraPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
+// Each trial also runs on sets whose endpoints sit at 0 and next to the
+// largest Offset, where an empty running extreme must not match.
 TEST_P(AlgebraPropertyTest, EfficientMatchesNaive) {
   Rng rng(GetParam());
   for (int trial = 0; trial < 40; ++trial) {
-    RegionSet r = RandomSet(rng, 30, 25);
-    RegionSet s = RandomSet(rng, 30, 25);
-    EXPECT_EQ(Including(r, s), naive::Including(r, s))
-        << "R=" << r.ToString() << " S=" << s.ToString();
-    EXPECT_EQ(Included(r, s), naive::Included(r, s))
-        << "R=" << r.ToString() << " S=" << s.ToString();
-    EXPECT_EQ(Precedes(r, s), naive::Precedes(r, s));
-    EXPECT_EQ(Follows(r, s), naive::Follows(r, s));
-    EXPECT_EQ(Union(r, s), naive::Union(r, s));
-    EXPECT_EQ(Intersect(r, s), naive::Intersect(r, s));
-    EXPECT_EQ(Difference(r, s), naive::Difference(r, s));
+    for (bool edges : {false, true}) {
+      RegionSet r = RandomSet(rng, 30, 25, edges);
+      RegionSet s = RandomSet(rng, 30, 25, edges);
+      RegionSet t = RandomSet(rng, 30, 25, edges);
+      EXPECT_EQ(Including(r, s), naive::Including(r, s))
+          << "R=" << r.ToString() << " S=" << s.ToString();
+      EXPECT_EQ(Included(r, s), naive::Included(r, s))
+          << "R=" << r.ToString() << " S=" << s.ToString();
+      EXPECT_EQ(Precedes(r, s), naive::Precedes(r, s));
+      EXPECT_EQ(Follows(r, s), naive::Follows(r, s));
+      EXPECT_EQ(Union(r, s), naive::Union(r, s));
+      EXPECT_EQ(Intersect(r, s), naive::Intersect(r, s));
+      EXPECT_EQ(Difference(r, s), naive::Difference(r, s));
+      EXPECT_EQ(BothIncluded(r, s, t), naive::BothIncluded(r, s, t))
+          << "R=" << r.ToString() << " S=" << s.ToString()
+          << " T=" << t.ToString();
+    }
   }
 }
 
 TEST_P(AlgebraPropertyTest, SelectMatchesNaive) {
   Rng rng(GetParam() * 31 + 7);
-  for (int trial = 0; trial < 40; ++trial) {
-    RegionSet r = RandomSet(rng, 30, 25);
+  for (int trial = 0; trial < 80; ++trial) {
+    const bool edges = trial % 2 == 1;
+    RegionSet r = RandomSet(rng, 30, 25, edges);
     std::vector<Token> tokens;
     int n = static_cast<int>(rng.Below(10));
     for (int i = 0; i < n; ++i) {
-      Offset a = static_cast<Offset>(rng.Below(25));
-      Offset b = a + static_cast<Offset>(rng.Below(3));
-      tokens.push_back(Token{a, b});
+      const Offset a = RandomEndpoint(rng, 25, edges);
+      const int64_t b = std::min<int64_t>(
+          int64_t{a} + static_cast<int64_t>(rng.Below(3)),
+          std::numeric_limits<Offset>::max());
+      tokens.push_back(Token{a, static_cast<Offset>(b)});
     }
     std::sort(tokens.begin(), tokens.end(), [](const Token& x, const Token& y) {
       return x.left != y.left ? x.left < y.left : x.right < y.right;

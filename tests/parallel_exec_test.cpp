@@ -12,6 +12,7 @@
 #include <numeric>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/algebra.h"
@@ -22,6 +23,7 @@
 #include "exec/parallel_text.h"
 #include "exec/thread_pool.h"
 #include "index/word_index.h"
+#include "obs/counters.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -217,6 +219,169 @@ TEST_P(ParallelKernelTest, SelectByTokensMatchesSequential) {
     tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
     EXPECT_EQ(exec::ParallelSelectByTokens(r, tokens, cfg),
               SelectByTokens(r, tokens));
+  }
+}
+
+// The partitioned semi-joins see witnesses outside a chunk's slice of R only
+// through the chunk's seed. Each case below runs at these partition counts
+// over at least 7 * 2048 rows of R, enough for PartitionCount to grant all
+// 7 chunks.
+const int kPartitionCounts[] = {2, 3, 4, 7};
+
+std::vector<Token> AsTokens(const RegionSet& s) {
+  std::vector<Token> tokens;
+  for (const Region& x : s) tokens.push_back(Token{x.left, x.right});
+  std::sort(tokens.begin(), tokens.end(), [](const Token& a, const Token& b) {
+    return a.left != b.left ? a.left < b.left : a.right < b.right;
+  });
+  return tokens;
+}
+
+// Every chunk's only witness lies in another chunk: one small region at the
+// far end for ⊃ and σ, one spanning region at the start for ⊂. Every other
+// region of R qualifies.
+TEST_P(ParallelKernelTest, SemiJoinWitnessInAnotherChunk) {
+  ThreadPool pool(GetParam());
+  constexpr int kRows = 7 * 2048 + 101;
+  constexpr Offset kFar = 1 << 20;
+  std::vector<Region> containers, contained, want_including, want_included;
+  for (Offset i = 0; i < kRows; ++i) {
+    containers.push_back(Region{i, kFar - 1 + i % 2});
+    if (i % 2 == 1) want_including.push_back(containers.back());
+    contained.push_back(Region{1 + i, kFar + i % 2});
+    if (i % 2 == 0) want_included.push_back(contained.back());
+  }
+  const RegionSet r_including = RegionSet::FromUnsorted(containers);
+  const RegionSet r_included = RegionSet::FromUnsorted(contained);
+  const RegionSet end_witness{Region{kFar, kFar}};
+  const std::vector<Token> end_token{Token{kFar, kFar}};
+  const RegionSet start_witness{Region{0, kFar}};
+  const RegionSet including = RegionSet::FromUnsorted(want_including);
+  const RegionSet included = RegionSet::FromUnsorted(want_included);
+  ASSERT_EQ(Including(r_including, end_witness), including);
+  ASSERT_EQ(SelectByTokens(r_including, end_token), including);
+  ASSERT_EQ(Included(r_included, start_witness), included);
+  for (int parts : kPartitionCounts) {
+    ParallelConfig cfg{&pool, /*min_rows=*/0, parts};
+    EXPECT_EQ(exec::ParallelIncluding(r_including, end_witness, cfg),
+              including)
+        << parts;
+    EXPECT_EQ(exec::ParallelSelectByTokens(r_including, end_token, cfg),
+              including)
+        << parts;
+    EXPECT_EQ(exec::ParallelIncluded(r_included, start_witness, cfg), included)
+        << parts;
+  }
+}
+
+// `runs` runs of `length` regions sharing one left endpoint, each with a
+// distinct right endpoint. With `gap` larger than any run's extent the runs
+// are disjoint, so a region's only ⊃/⊂ witnesses are in its own run.
+RegionSet EqualLeftRuns(Rng& rng, int runs, int length, Offset gap) {
+  std::vector<Region> regions;
+  for (int g = 0; g < runs; ++g) {
+    for (int j = 0; j < length; ++j) {
+      const Offset left = g * gap;
+      regions.push_back(
+          Region{left, left + 1 + 3 * j + static_cast<Offset>(rng.Below(3))});
+    }
+  }
+  return RegionSet::FromUnsorted(std::move(regions));
+}
+
+// Every cut at 2, 3, 4 and 7 partitions falls inside an equal-left run of R
+// (97 * 151 rows; checked below), so an equal-left group that straddles a
+// cut must be searched on the correct side of the chunk's seed.
+TEST_P(ParallelKernelTest, SemiJoinCutsInsideEqualLeftRuns) {
+  ThreadPool pool(GetParam());
+  Rng rng(53);
+  constexpr int kRuns = 151;
+  constexpr int kLength = 97;
+  const RegionSet disjoint = EqualLeftRuns(rng, kRuns, kLength, 1000);
+  const RegionSet overlapping = EqualLeftRuns(rng, kRuns, kLength, 4);
+  const RegionSet other = EqualLeftRuns(rng, kRuns, kLength, 4);
+  ASSERT_EQ(disjoint.size(), static_cast<size_t>(kRuns * kLength));
+  ASSERT_EQ(overlapping.size(), disjoint.size());
+  const std::vector<Token> tokens = AsTokens(other);
+  const std::pair<const RegionSet*, const RegionSet*> cases[] = {
+      {&disjoint, &disjoint},
+      {&overlapping, &overlapping},
+      {&overlapping, &other}};
+  for (int parts : kPartitionCounts) {
+    const size_t np = static_cast<size_t>(parts);
+    for (size_t k = 1; k < np; ++k) {
+      const size_t cut = k * disjoint.size() / np;
+      ASSERT_EQ(disjoint[cut - 1].left, disjoint[cut].left) << parts;
+      ASSERT_EQ(overlapping[cut - 1].left, overlapping[cut].left) << parts;
+    }
+    ParallelConfig cfg{&pool, /*min_rows=*/0, parts};
+    for (const auto& [r, s] : cases) {
+      EXPECT_EQ(exec::ParallelIncluding(*r, *s, cfg), Including(*r, *s))
+          << parts;
+      EXPECT_EQ(exec::ParallelIncluded(*r, *s, cfg), Included(*r, *s))
+          << parts;
+      EXPECT_EQ(exec::ParallelSelectByTokens(*r, tokens, cfg),
+                SelectByTokens(*r, tokens))
+          << parts;
+    }
+  }
+}
+
+// Runs `op` under a fresh counter sink and returns its answer and charge.
+template <typename Op>
+std::pair<RegionSet, obs::OpCounters> Counted(Op op) {
+  obs::OpCounters counters;
+  obs::OpCounters* previous = obs::SwapCountersSink(&counters);
+  RegionSet out = op();
+  obs::SwapCountersSink(previous);
+  return {std::move(out), counters};
+}
+
+// ⊃, ⊂, σ, < and > charge from the operand sizes alone, so their counters
+// equal the sequential operator's at every thread count. The set merges
+// restart their gallop and dense-burst decisions at every cut, so for them
+// only the answers must match.
+TEST_P(ParallelKernelTest, SizeChargedCountersMatchSequential) {
+  ThreadPool pool(GetParam());
+  ParallelConfig cfg{&pool, /*min_rows=*/0, /*max_partitions=*/0};
+  Rng rng(41 + static_cast<uint64_t>(GetParam()));
+  for (int trial = 0; trial < 4; ++trial) {
+    RegionSet r = RandomSet(rng, 8 * 2048 + rng.Below(4000), 40000);
+    RegionSet s = RandomSet(rng, 1 + rng.Below(20000), 40000);
+    const std::vector<Token> tokens = AsTokens(RandomSet(rng, 3000, 40000));
+    using Binary = RegionSet (*)(const RegionSet&, const RegionSet&);
+    using Partitioned = RegionSet (*)(const RegionSet&, const RegionSet&,
+                                      const ParallelConfig&);
+    const struct {
+      const char* name;
+      Binary sequential;
+      Partitioned parallel;
+      bool same_counters;
+    } ops[] = {
+        {"union", &Union, &exec::ParallelUnion, false},
+        {"intersect", &Intersect, &exec::ParallelIntersect, false},
+        {"difference", &Difference, &exec::ParallelDifference, false},
+        {"including", &Including, &exec::ParallelIncluding, true},
+        {"included", &Included, &exec::ParallelIncluded, true},
+        {"precedes", &Precedes, &exec::ParallelPrecedes, true},
+        {"follows", &Follows, &exec::ParallelFollows, true},
+    };
+    for (const auto& op : ops) {
+      const auto want = Counted([&] { return op.sequential(r, s); });
+      const auto got = Counted([&] { return op.parallel(r, s, cfg); });
+      EXPECT_EQ(got.first, want.first) << op.name;
+      if (!op.same_counters) continue;
+      EXPECT_EQ(got.second.comparisons, want.second.comparisons) << op.name;
+      EXPECT_EQ(got.second.merge_steps, want.second.merge_steps) << op.name;
+      EXPECT_EQ(got.second.index_probes, want.second.index_probes) << op.name;
+    }
+    const auto want = Counted([&] { return SelectByTokens(r, tokens); });
+    const auto got =
+        Counted([&] { return exec::ParallelSelectByTokens(r, tokens, cfg); });
+    EXPECT_EQ(got.first, want.first) << "select";
+    EXPECT_EQ(got.second.comparisons, want.second.comparisons) << "select";
+    EXPECT_EQ(got.second.merge_steps, want.second.merge_steps) << "select";
+    EXPECT_EQ(got.second.index_probes, want.second.index_probes) << "select";
   }
 }
 

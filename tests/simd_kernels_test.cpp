@@ -3,9 +3,9 @@
 // exactly equal operation counters to the scalar oracle, on adversarial
 // small inputs that cross every vector-width boundary and exercise overlap,
 // adjacency, tie-breaks, nesting, galloping skew and ragged tails. The suite
-// also covers the batched ContainmentIndex probes against their scalar
-// Exists* twins, the partitioned-chunk path of exec/parallel_algebra.cc, and
-// the REGAL_SIMD resolution rule.
+// also covers the partitioned-chunk path of exec/parallel_algebra.cc, the
+// REGAL_SIMD resolution rule, and the public operators (including the scalar
+// semi-join sweeps) against the naive oracles under the active tier.
 //
 // ctest label: simd. The whole binary additionally re-runs under
 // REGAL_SIMD=scalar|sse4|avx2 (see tests/CMakeLists.txt) so the dispatched
@@ -291,74 +291,6 @@ TEST(SimdMinRight, MatchesMinElement) {
       EXPECT_EQ(want, kt->min_right(in.data(), in.size()))
           << kt->name << " n=" << in.size();
     }
-  }
-}
-
-TEST(SimdLowerBoundOffsets, MatchesStdLowerBound) {
-  Rng rng(5);
-  constexpr Offset kMin = std::numeric_limits<Offset>::min();
-  constexpr Offset kMax = std::numeric_limits<Offset>::max();
-  for (int round = 0; round < 50; ++round) {
-    std::vector<Offset> arr;
-    const size_t n = rng.Below(100);
-    for (size_t i = 0; i < n; ++i) {
-      // Dense values with duplicates.
-      arr.push_back(static_cast<Offset>(rng.Below(40)) - 10);
-    }
-    std::sort(arr.begin(), arr.end());
-    std::vector<Offset> queries = {kMin, kMax, 0, -10, 29};
-    const size_t extra = rng.Below(30);
-    for (size_t i = 0; i < extra; ++i) {
-      queries.push_back(static_cast<Offset>(rng.Below(44)) - 12);
-    }
-    std::vector<uint32_t> want(queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      want[i] = static_cast<uint32_t>(
-          std::lower_bound(arr.begin(), arr.end(), queries[i]) - arr.begin());
-    }
-    for (const KernelTable* kt : AvailableTables()) {
-      std::vector<uint32_t> got(queries.size(), 0xDEADBEEF);
-      kt->lower_bound_offsets(arr.data(), arr.size(), queries.data(),
-                              queries.size(), got.data());
-      EXPECT_EQ(want, got) << kt->name << " n=" << n;
-    }
-  }
-}
-
-TEST(SimdContainmentProbes, MatchExistsPredicates) {
-  Rng rng(31);
-  for (int round = 0; round < 25; ++round) {
-    const std::vector<Region> s =
-        RandomRegions(rng, rng.Below(50), static_cast<Offset>(60));
-    std::vector<Region> queries =
-        RandomRegions(rng, 1 + rng.Below(300), static_cast<Offset>(60));
-    const ContainmentIndex index(RegionSet::FromSortedUnique(
-        std::vector<Region>(s)));
-    const size_t n = queries.size();
-    for (const KernelTable* kt : AvailableTables()) {
-      std::vector<unsigned char> included_in(n), including(n), contained(n);
-      index.ProbeIncludedIn(queries.data(), n, included_in.data(), kt);
-      index.ProbeIncluding(queries.data(), n, including.data(), kt);
-      index.ProbeContainedIn(queries.data(), n, contained.data(), kt);
-      for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(index.ExistsIncludedIn(queries[i]), included_in[i] != 0)
-            << kt->name << " i=" << i;
-        EXPECT_EQ(index.ExistsIncluding(queries[i]), including[i] != 0)
-            << kt->name << " i=" << i;
-        EXPECT_EQ(index.ExistsContainedIn(queries[i]), contained[i] != 0)
-            << kt->name << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(SimdContainmentProbes, EmptyIndexKeepsNothing) {
-  const ContainmentIndex index;
-  const std::vector<Region> queries = {{0, 4}, {1, 2}};
-  for (const KernelTable* kt : AvailableTables()) {
-    std::vector<unsigned char> keep(queries.size(), 1);
-    index.ProbeIncludedIn(queries.data(), queries.size(), keep.data(), kt);
-    EXPECT_EQ(keep, (std::vector<unsigned char>{0, 0})) << kt->name;
   }
 }
 

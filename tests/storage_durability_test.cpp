@@ -79,7 +79,9 @@ std::string ReadAll(const std::string& path) {
 
 void RemoveIfExists(const std::string& path) {
   Env* env = Env::Default();
-  if (env->FileExists(path)) ASSERT_TRUE(env->RemoveFile(path).ok());
+  if (env->FileExists(path)) {
+    ASSERT_TRUE(env->RemoveFile(path).ok());
+  }
 }
 
 size_t FuzzIterations(size_t fallback) {
@@ -482,7 +484,9 @@ TEST(StorageCompressTest, MutatedStreamsNeverCrashTheDecoder) {
     // ever runs; the decoder must still be memory-safe on its own — every
     // outcome is acceptable except a crash, overrun or unbounded allocation.
     auto decoded = LzDecompress(mutated, raw_size);
-    if (decoded.ok()) EXPECT_EQ(decoded->size(), raw_size);
+    if (decoded.ok()) {
+      EXPECT_EQ(decoded->size(), raw_size);
+    }
   }
 }
 

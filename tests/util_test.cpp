@@ -1,10 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "util/random.h"
-#include "util/rmq.h"
 #include "util/status.h"
 #include "util/stringutil.h"
 
@@ -96,7 +94,7 @@ TEST(ResultDeathTest, ValueOrDieOnErrorAbortsWithStatus) {
 
 TEST(ResultDeathTest, DerefOnErrorAbortsWithStatus) {
   Result<std::vector<int>> r = Status::NotFound("no rows");
-  EXPECT_DEATH(r->size(), "NOT_FOUND: no rows");
+  EXPECT_DEATH((void)r->size(), "NOT_FOUND: no rows");
 }
 
 TEST(RngTest, Deterministic) {
@@ -141,45 +139,6 @@ TEST(RngTest, ChanceExtremes) {
     EXPECT_FALSE(rng.Chance(0.0));
     EXPECT_TRUE(rng.Chance(1.0));
   }
-}
-
-TEST(SparseTableTest, MinMatchesBruteForce) {
-  Rng rng(3);
-  std::vector<int> values;
-  for (int i = 0; i < 200; ++i) values.push_back(static_cast<int>(rng.Below(1000)));
-  SparseTable<int> table(values);
-  for (int trial = 0; trial < 500; ++trial) {
-    size_t lo = rng.Below(values.size());
-    size_t hi = lo + 1 + rng.Below(values.size() - lo);
-    int expected = *std::min_element(values.begin() + static_cast<long>(lo),
-                                     values.begin() + static_cast<long>(hi));
-    EXPECT_EQ(table.Query(lo, hi), expected);
-  }
-}
-
-TEST(SparseTableTest, MaxMatchesBruteForce) {
-  Rng rng(4);
-  std::vector<int> values;
-  for (int i = 0; i < 100; ++i) values.push_back(static_cast<int>(rng.Below(50)));
-  SparseTable<int, std::greater<int>> table(values);
-  for (int trial = 0; trial < 300; ++trial) {
-    size_t lo = rng.Below(values.size());
-    size_t hi = lo + 1 + rng.Below(values.size() - lo);
-    int expected = *std::max_element(values.begin() + static_cast<long>(lo),
-                                     values.begin() + static_cast<long>(hi));
-    EXPECT_EQ(table.Query(lo, hi), expected);
-  }
-}
-
-TEST(SparseTableTest, SingleElement) {
-  SparseTable<int> table(std::vector<int>{5});
-  EXPECT_EQ(table.Query(0, 1), 5);
-  EXPECT_EQ(table.size(), 1u);
-}
-
-TEST(SparseTableTest, EmptyHasZeroSize) {
-  SparseTable<int> table;
-  EXPECT_EQ(table.size(), 0u);
 }
 
 TEST(StringUtilTest, Split) {
