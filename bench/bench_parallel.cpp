@@ -1,7 +1,7 @@
 // Experiment: scaling of the exec/ parallel execution layer. Sweeps thread
-// counts over the partitioned operator kernels and the parallel index
-// builds; each configuration is compared against the sequential operators
-// (threads = 1 uses a one-lane pool, which is exactly the sequential path).
+// counts over the partitioned operator kernels; each configuration is
+// compared against the sequential operators (threads = 1 uses a one-lane
+// pool, which is exactly the sequential path).
 // Interpret speedups against the "num_cpus" recorded in the JSON context —
 // thread counts beyond the physical cores measure oversubscription, not
 // scaling. The thread-swept benches time wall clock (UseRealTime): the
@@ -13,12 +13,9 @@
 
 #include "bench_report.h"
 #include "core/algebra.h"
-#include "doc/dictionary.h"
 #include "doc/synthetic.h"
 #include "exec/parallel_algebra.h"
 #include "exec/thread_pool.h"
-#include "index/word_index.h"
-#include "text/text.h"
 #include "util/random.h"
 
 namespace regal {
@@ -111,44 +108,6 @@ void BM_SequentialUnion(benchmark::State& state) {
   }
 }
 
-std::string IndexSource(int entries) {
-  DictionaryGeneratorOptions options;
-  options.entries = entries;
-  return GenerateDictionarySource(options);
-}
-
-void BM_IndexBuild(benchmark::State& state) {
-  Text text(IndexSource(static_cast<int>(state.range(0))));
-  exec::ThreadPool& pool = PoolFor(static_cast<int>(state.range(1)));
-  for (auto _ : state) {
-    SuffixArrayWordIndex index(&text, &pool);
-    benchmark::DoNotOptimize(index.NumTokens());
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<int64_t>(text.content().size()));
-}
-
-void BM_IndexBuildSequential(benchmark::State& state) {
-  Text text(IndexSource(static_cast<int>(state.range(0))));
-  for (auto _ : state) {
-    SuffixArrayWordIndex index(&text, /*pool=*/nullptr);
-    benchmark::DoNotOptimize(index.NumTokens());
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<int64_t>(text.content().size()));
-}
-
-void BM_InvertedIndexBuild(benchmark::State& state) {
-  Text text(IndexSource(static_cast<int>(state.range(0))));
-  exec::ThreadPool& pool = PoolFor(static_cast<int>(state.range(1)));
-  for (auto _ : state) {
-    InvertedWordIndex index(&text, &pool);
-    benchmark::DoNotOptimize(index.NumTokens());
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<int64_t>(text.content().size()));
-}
-
 const std::vector<int64_t> kSizes = {1 << 14, 1 << 16, 1 << 18};
 const std::vector<int64_t> kThreads = {1, 2, 4, 8};
 
@@ -160,11 +119,6 @@ BENCHMARK(BM_ParallelDifference)
 BENCHMARK(BM_ParallelPrecedes)->ArgsProduct({kSizes, kThreads})->UseRealTime();
 BENCHMARK(BM_SequentialIncluding)->Arg(1 << 18);
 BENCHMARK(BM_SequentialUnion)->Arg(1 << 18);
-BENCHMARK(BM_IndexBuild)->ArgsProduct({{256, 1024}, kThreads})->UseRealTime();
-BENCHMARK(BM_IndexBuildSequential)->Arg(1024);
-BENCHMARK(BM_InvertedIndexBuild)
-    ->ArgsProduct({{1024}, kThreads})
-    ->UseRealTime();
 
 }  // namespace
 }  // namespace regal

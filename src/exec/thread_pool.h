@@ -14,8 +14,8 @@
 namespace regal {
 namespace exec {
 
-/// Fixed-size thread pool shared by the parallel operator kernels, the
-/// evaluator's concurrent subtree execution, and the index builders.
+/// Fixed-size thread pool shared by the parallel operator kernels and the
+/// evaluator's concurrent subtree execution.
 ///
 /// A pool of `num_threads` *lanes* runs `num_threads - 1` worker threads:
 /// the submitting thread is always the extra lane, participating in every

@@ -9,26 +9,17 @@
 
 namespace regal {
 
-namespace exec {
-class ThreadPool;
-}  // namespace exec
-
 /// A suffix array — the modern equivalent of the PAT array underlying the
 /// Open Text PAT system [Gon87, Ope93] whose algebra the paper studies.
-/// Construction is prefix-doubling (O(n log^2 n)), which is ample for the
-/// corpus sizes the benchmarks sweep; each doubling round's sort runs on the
-/// exec thread pool. Ranks within a round break ties by
-/// suffix index (a strict total order), so construction is deterministic and
-/// identical for every thread count, including fully sequential.
+/// Construction is SA-IS induced sorting in linear time, on the calling
+/// thread, with no workspace beyond the array but the suffix type bits and
+/// the bucket counts. Bytes compare as unsigned char.
 class SuffixArray {
  public:
   SuffixArray() = default;
 
-  /// Builds the suffix array of `text` on the default thread pool.
+  /// Builds the suffix array of `text`.
   explicit SuffixArray(std::string text);
-
-  /// As above on `pool`; nullptr builds strictly sequentially.
-  SuffixArray(std::string text, exec::ThreadPool* pool);
 
   /// The indexed text.
   const std::string& text() const { return text_; }

@@ -2,32 +2,10 @@
 
 #include <algorithm>
 
-#include "exec/parallel_text.h"
-#include "exec/thread_pool.h"
 #include "obs/counters.h"
-#include "obs/metrics.h"
-#include "safety/failpoint.h"
 #include "util/stringutil.h"
 
 namespace regal {
-
-namespace {
-
-// Degrade failpoint for index construction: a nullptr pool is the documented
-// strictly-sequential build, so firing simply reroutes there while recording
-// the fallback for explain/metrics consumers.
-exec::ThreadPool* MaybeDegradeBuild(exec::ThreadPool* pool, const char* index) {
-  if (pool == nullptr || !safety::FailpointFires("index.build.degrade")) {
-    return pool;
-  }
-  obs::Registry::Default()
-      .GetCounter("regal_safety_index_build_fallbacks_total",
-                  {{"index", index}})
-      ->Increment();
-  return nullptr;
-}
-
-}  // namespace
 
 bool WordIndex::Contains(Offset left, Offset right, const Pattern& p) const {
   // Default implementation in terms of Matches; subclasses may override
@@ -40,16 +18,9 @@ bool WordIndex::Contains(Offset left, Offset right, const Pattern& p) const {
 }
 
 SuffixArrayWordIndex::SuffixArrayWordIndex(const Text* text)
-    : SuffixArrayWordIndex(text, &exec::ThreadPool::Default()) {}
-
-SuffixArrayWordIndex::SuffixArrayWordIndex(const Text* text,
-                                           exec::ThreadPool* pool)
-    // tokens_ is declared before suffix_array_, so the degrade decision made
-    // in its initializer is the pool suffix_array_ sees too.
     : text_(text),
-      tokens_(exec::ParallelTokenize(
-          text->content(), pool = MaybeDegradeBuild(pool, "suffix_array"))),
-      suffix_array_(ToLowerAscii(text->content()), pool) {}
+      tokens_(Tokenize(text->content())),
+      suffix_array_(ToLowerAscii(text->content())) {}
 
 int32_t SuffixArrayWordIndex::TokenAt(int32_t pos) const {
   // Rightmost token with left <= pos.
@@ -104,13 +75,12 @@ std::vector<Token> SuffixArrayWordIndex::Matches(const Pattern& p) const {
   return out;
 }
 
-InvertedWordIndex::InvertedWordIndex(const Text* text)
-    : InvertedWordIndex(text, &exec::ThreadPool::Default()) {}
-
-InvertedWordIndex::InvertedWordIndex(const Text* text, exec::ThreadPool* pool)
-    : text_(text) {
-  pool = MaybeDegradeBuild(pool, "inverted");
-  postings_ = exec::ParallelPostings(text->content(), pool, &num_tokens_);
+InvertedWordIndex::InvertedWordIndex(const Text* text) : text_(text) {
+  const std::string_view content = text->content();
+  for (const Token& t : Tokenize(content)) {
+    postings_[std::string(TokenText(content, t))].push_back(t);
+    ++num_tokens_;
+  }
 }
 
 std::vector<Token> InvertedWordIndex::Matches(const Pattern& p) const {
@@ -125,19 +95,15 @@ std::vector<Token> InvertedWordIndex::Matches(const Pattern& p) const {
     auto it = postings_.find(p.body());
     if (it != postings_.end()) out = it->second;
   } else {
-    // Prefix patterns narrow the vocabulary scan via the ordered map; all
-    // other shapes scan the whole vocabulary (still never the raw text).
-    auto begin = postings_.begin();
-    auto end = postings_.end();
-    if (p.anchored_front() && !p.case_insensitive() && p.CoreOffsetInBody() == 0 &&
-        !p.LiteralCore().empty()) {
-      const std::string& core = p.LiteralCore();
-      begin = postings_.lower_bound(core);
-      std::string upper = core;
-      upper.back() = static_cast<char>(upper.back() + 1);
-      end = postings_.lower_bound(upper);
-    }
-    for (auto it = begin; it != end; ++it) {
+    // Prefix patterns narrow the vocabulary scan to the keys that start
+    // with the literal core, a contiguous run of the ordered map; all other
+    // shapes scan the whole vocabulary (still never the raw text).
+    const std::string& core = p.LiteralCore();
+    const bool prefix = p.anchored_front() && !p.case_insensitive() &&
+                        p.CoreOffsetInBody() == 0 && !core.empty();
+    auto begin = prefix ? postings_.lower_bound(core) : postings_.begin();
+    for (auto it = begin; it != postings_.end(); ++it) {
+      if (prefix && !StartsWith(it->first, core)) break;
       ++probes;
       ++comparisons;
       if (p.MatchesToken(it->first)) {

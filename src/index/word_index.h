@@ -35,25 +35,13 @@ class WordIndex {
   virtual int64_t NumTokens() const = 0;
 };
 
-namespace exec {
-class ThreadPool;
-}  // namespace exec
-
 /// Word index backed by a suffix array over the lower-cased text. Pattern
 /// lookups binary-search the literal core of the pattern, then verify the
 /// enclosing token against the full pattern on the original text.
-///
-/// Construction parallelizes the tokenize and suffix-sort phases on the exec
-/// thread pool; the built index is identical for every thread count (see
-/// exec/parallel_text.h and SuffixArray).
 class SuffixArrayWordIndex : public WordIndex {
  public:
-  /// Builds the index on the default thread pool. `text` must outlive the
-  /// index.
+  /// Builds the index. `text` must outlive the index.
   explicit SuffixArrayWordIndex(const Text* text);
-
-  /// As above on `pool`; nullptr builds strictly sequentially.
-  SuffixArrayWordIndex(const Text* text, exec::ThreadPool* pool);
 
   std::vector<Token> Matches(const Pattern& p) const override;
   int64_t NumTokens() const override { return static_cast<int64_t>(tokens_.size()); }
@@ -74,13 +62,9 @@ class SuffixArrayWordIndex : public WordIndex {
 /// vocabulary (never the text).
 class InvertedWordIndex : public WordIndex {
  public:
-  /// Builds the postings map on the default thread pool (chunked tokenize
-  /// with per-chunk maps merged in text order — identical to a sequential
-  /// build for every thread count).
+  /// Builds the postings map in one pass over the tokens. `text` must
+  /// outlive the index.
   explicit InvertedWordIndex(const Text* text);
-
-  /// As above on `pool`; nullptr builds strictly sequentially.
-  InvertedWordIndex(const Text* text, exec::ThreadPool* pool);
 
   std::vector<Token> Matches(const Pattern& p) const override;
   int64_t NumTokens() const override { return num_tokens_; }

@@ -64,8 +64,6 @@ const std::map<std::string, std::string>& BuiltinHelp() {
        "Queries stopped mid-flight, by governance reason."},
       {"regal_safety_kernel_fallbacks_total",
        "Parallel kernels that fell back to sequential execution."},
-      {"regal_safety_index_build_fallbacks_total",
-       "Index builds that fell back to sequential execution."},
       {"regal_storage_loads_total", "Snapshot loads, by format and outcome."},
       {"regal_storage_save_latency_ms",
        "Durable snapshot save latency in milliseconds."},

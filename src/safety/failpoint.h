@@ -38,8 +38,7 @@ namespace safety {
 ///     error. Planted where a Status can flow.
 ///   * FailpointFires(name)  — degradation trigger: returns bool; the site
 ///     falls back to its sequential / slow path and records the fallback.
-///     Planted where execution must continue (kernels, index builds, pool
-///     saturation).
+///     Planted where execution must continue (kernels, pool saturation).
 class FailpointRegistry {
  public:
   /// How an armed failpoint decides to fire.

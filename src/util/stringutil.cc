@@ -56,9 +56,4 @@ std::string_view StripAscii(std::string_view s) {
   return s.substr(b, e - b);
 }
 
-bool IsIdentChar(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-         (c >= '0' && c <= '9') || c == '_';
-}
-
 }  // namespace regal

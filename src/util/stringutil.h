@@ -25,7 +25,11 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 std::string_view StripAscii(std::string_view s);
 
 /// True iff c is an ASCII letter, digit or underscore (identifier char).
-bool IsIdentChar(char c);
+/// Inline: the tokenizer tests every byte of the text with it.
+inline bool IsIdentChar(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+         (c >= '0' && c <= '9') || c == '_';
+}
 
 }  // namespace regal
 

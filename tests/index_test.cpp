@@ -1,11 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <string>
 #include <string_view>
 
-#include "exec/thread_pool.h"
 #include "index/suffix_array.h"
 #include "index/word_index.h"
 #include "util/random.h"
@@ -61,9 +61,32 @@ TEST(SuffixArrayTest, Banana) {
   EXPECT_EQ(sa.Count("xyz"), 0);
 }
 
-// sa() equals the naive sort of all suffixes, built sequentially and on a
-// 4-thread pool, for every text up to length 10 over {a, b}, seeded random
-// texts and adversarial ones.
+// The first `length` letters of the Fibonacci word "abaababaabaab...", whose
+// reduced strings stay repetitive, so SA-IS recurses deep on it.
+std::string FibonacciWord(size_t length) {
+  std::string previous = "a";
+  std::string word = "ab";
+  while (word.size() < length) {
+    std::string next = word + previous;
+    previous = std::move(word);
+    word = std::move(next);
+  }
+  return word.substr(0, length);
+}
+
+// The first `length` letters of the Thue-Morse word: letter i is 'b' iff i
+// has an odd number of one bits.
+std::string ThueMorseWord(size_t length) {
+  std::string word(length, 'a');
+  for (size_t i = 0; i < length; ++i) {
+    if (std::popcount(i) % 2 == 1) word[i] = 'b';
+  }
+  return word;
+}
+
+// sa() equals the naive sort of all suffixes for every text up to length 10
+// over {a, b}, seeded random texts, adversarial ones, and texts that drive
+// SA-IS's recursion deep.
 TEST(SuffixArrayTest, SortedProperty) {
   std::vector<std::string> texts = {"mississippi", "abracadabra"};
   for (int length = 0; length <= 10; ++length) {
@@ -79,10 +102,14 @@ TEST(SuffixArrayTest, SortedProperty) {
       texts.push_back(RandomBytes(&rng, 1 + rng.Below(300), alphabet));
     }
   }
-  // Longer than ParallelSort's sequential cutoff, so the pool splits the
-  // doubling rounds' sorts across its lanes.
   texts.push_back(RandomBytes(&rng, 40000, 4));
   texts.push_back(RandomBytes(&rng, 40000, 256));
+  // SA-IS's recursion, counting the top level: 8 levels on the 6,765-byte
+  // Fibonacci word, 7 on the 4,096-byte Thue-Morse word, and 3 on a random
+  // 4-letter text of 2^17 bytes (natural text takes 3-4).
+  texts.push_back(FibonacciWord(6765));
+  texts.push_back(ThueMorseWord(4096));
+  texts.push_back(RandomBytes(&rng, size_t{1} << 17, 4));
   // Adversarial: one letter, periodic, and every byte value (NUL and the
   // bytes >= 0x80 included, which must sort as unsigned).
   texts.push_back(std::string(2000, 'a'));
@@ -97,14 +124,10 @@ TEST(SuffixArrayTest, SortedProperty) {
   texts.push_back(std::string(all_bytes.rbegin(), all_bytes.rend()));
   texts.push_back(Repeat(all_bytes, 4));
 
-  exec::ThreadPool pool(4);
   for (const std::string& text : texts) {
-    const std::vector<int32_t> expected = NaiveSuffixArray(text);
-    const std::string shown =
-        ::testing::PrintToString(text.substr(0, 40)) + " (" +
-        std::to_string(text.size()) + " bytes)";
-    EXPECT_EQ(SuffixArray(text, /*pool=*/nullptr).sa(), expected) << shown;
-    EXPECT_EQ(SuffixArray(text, &pool).sa(), expected) << shown;
+    EXPECT_EQ(SuffixArray(text).sa(), NaiveSuffixArray(text))
+        << ::testing::PrintToString(text.substr(0, 40)) << " ("
+        << text.size() << " bytes)";
   }
 }
 
@@ -178,8 +201,9 @@ TEST_F(WordIndexTest, InfixPattern) {
 
 TEST_F(WordIndexTest, ImplementationsAgree) {
   Rng rng(17);
-  const char* specs[] = {"the", "qui*", "*ip", "*ui*", "q???k",
-                         "fox_trot", "dog", "zebra", "f?x"};
+  const char* specs[] = {"the",      "qui*", "*ip",   "*ui*", "q???k",
+                         "fox_trot", "dog",  "zebra", "f?x",  "\xff*",
+                         "qu\xff*"};
   for (const char* spec : specs) {
     for (bool ci : {false, true}) {
       auto p = *Pattern::Parse(spec, ci);

@@ -1,7 +1,7 @@
 // Differential suite for the exec/ parallel execution layer: every parallel
-// kernel, index build and evaluator mode must be *bit-identical* to its
-// sequential counterpart, for every thread count, on random and adversarial
-// inputs. Built as its own ctest binary with label `parallel` so a TSAN
+// kernel and evaluator mode must be *bit-identical* to its sequential
+// counterpart, for every thread count, on random and adversarial inputs.
+// Built as its own ctest binary with label `parallel` so a TSAN
 // configuration (-DREGAL_SANITIZE=thread) can run exactly this suite.
 
 #include <gtest/gtest.h>
@@ -20,15 +20,14 @@
 #include "doc/dictionary.h"
 #include "doc/synthetic.h"
 #include "exec/parallel_algebra.h"
-#include "exec/parallel_text.h"
 #include "exec/thread_pool.h"
-#include "index/word_index.h"
 #include "obs/counters.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "query/engine.h"
 #include "text/text.h"
+#include "text/tokenizer.h"
 #include "util/random.h"
 
 namespace regal {
@@ -386,53 +385,6 @@ TEST_P(ParallelKernelTest, SizeChargedCountersMatchSequential) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, ParallelKernelTest,
-                         ::testing::ValuesIn(kThreadCounts));
-
-// ---------------------------------------------------------------------------
-// Index builds: identical structures for every thread count.
-
-class ParallelIndexTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ParallelIndexTest, SuffixArrayWordIndexIsThreadCountInvariant) {
-  DictionaryGeneratorOptions options;
-  options.entries = 24;
-  Text text(GenerateDictionarySource(options));
-  SuffixArrayWordIndex sequential(&text, /*pool=*/nullptr);
-  ThreadPool pool(GetParam());
-  SuffixArrayWordIndex parallel(&text, &pool);
-  EXPECT_EQ(parallel.suffix_array().sa(), sequential.suffix_array().sa());
-  EXPECT_EQ(parallel.NumTokens(), sequential.NumTokens());
-  for (const char* body : {"term1*", "sense", "TERM2", "?erm3?"}) {
-    Pattern p = *Pattern::Parse(body);
-    EXPECT_EQ(parallel.Matches(p), sequential.Matches(p)) << body;
-  }
-}
-
-TEST_P(ParallelIndexTest, InvertedWordIndexIsThreadCountInvariant) {
-  DictionaryGeneratorOptions options;
-  options.entries = 24;
-  Text text(GenerateDictionarySource(options));
-  InvertedWordIndex sequential(&text, /*pool=*/nullptr);
-  ThreadPool pool(GetParam());
-  InvertedWordIndex parallel(&text, &pool);
-  EXPECT_EQ(parallel.NumTokens(), sequential.NumTokens());
-  EXPECT_EQ(parallel.VocabularySize(), sequential.VocabularySize());
-  for (const char* body : {"term1*", "sense", "TERM2", "?erm3?"}) {
-    Pattern p = *Pattern::Parse(body);
-    EXPECT_EQ(parallel.Matches(p), sequential.Matches(p)) << body;
-  }
-}
-
-TEST_P(ParallelIndexTest, ParallelTokenizeIsThreadCountInvariant) {
-  DictionaryGeneratorOptions options;
-  options.entries = 24;
-  std::string source = GenerateDictionarySource(options);
-  ThreadPool pool(GetParam());
-  EXPECT_EQ(exec::ParallelTokenize(source, &pool, /*min_bytes=*/64),
-            exec::ParallelTokenize(source, nullptr));
-}
-
-INSTANTIATE_TEST_SUITE_P(Threads, ParallelIndexTest,
                          ::testing::ValuesIn(kThreadCounts));
 
 // ---------------------------------------------------------------------------

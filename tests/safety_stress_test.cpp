@@ -545,25 +545,6 @@ TEST_F(DegradeTest, KernelDegradeKeepsAnswersBitIdentical) {
             std::string::npos);
 }
 
-TEST_F(DegradeTest, IndexBuildDegradeBuildsTheSameIndex) {
-  DictionaryGeneratorOptions options;
-  options.entries = 12;
-  std::string source = GenerateDictionarySource(options);
-  auto expected = QueryEngine::FromSgmlSource(source);
-  ASSERT_TRUE(expected.ok());
-  auto baseline = expected->Run("entry including (headword matching \"t*\")");
-  ASSERT_TRUE(baseline.ok());
-
-  FailpointRegistry::Default().Arm("index.build.degrade");
-  auto degraded = QueryEngine::FromSgmlSource(source);
-  ASSERT_TRUE(degraded.ok());
-  EXPECT_GT(
-      FailpointRegistry::Default().FireCount("index.build.degrade"), 0);
-  auto answer = degraded->Run("entry including (headword matching \"t*\")");
-  ASSERT_TRUE(answer.ok());
-  EXPECT_EQ(answer->regions, baseline->regions);
-}
-
 // ---------------------------------------------------------------------------
 // Fault-injection stress: every injected failure is a clean Status and the
 // engine is bit-identical afterwards.
