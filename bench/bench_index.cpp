@@ -1,10 +1,11 @@
 // Experiment E9: the PAT substrate [Gon87, Ope93]. Suffix-array
 // construction and pattern search throughput over synthetic corpora, plus
-// the σ_p word-index path both indexes implement. Establishes that the
-// selection operator runs against a real index.
+// the word-index build and the σ_p lookup path both indexes implement.
+// Establishes that the selection operator runs against a real index.
 
 #include <benchmark/benchmark.h>
 
+#include "doc/dictionary.h"
 #include "doc/sgml.h"
 #include "index/suffix_array.h"
 #include "index/word_index.h"
@@ -51,6 +52,20 @@ void BM_SuffixArrayOccurrences(benchmark::State& state) {
   }
 }
 
+// The build over the end-to-end benchmark's corpus shapes: dictionaries of
+// 2,000 entries (warm_served, ingest_mixed) and 4,000 (cold_analyst).
+void BM_WordIndexBuild(benchmark::State& state) {
+  DictionaryGeneratorOptions options;
+  options.entries = static_cast<int>(state.range(0));
+  Text text(GenerateDictionarySource(options));
+  for (auto _ : state) {
+    SuffixArrayWordIndex index(&text);
+    benchmark::DoNotOptimize(index.NumTokens());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(text.size()));
+}
+
 void BM_WordIndexExact(benchmark::State& state) {
   Text text(MakeCorpus(state.range(0)));
   SuffixArrayWordIndex index(&text);
@@ -81,6 +96,7 @@ void BM_InvertedIndexPrefix(benchmark::State& state) {
 BENCHMARK(BM_SuffixArrayBuild)->Range(1 << 12, 1 << 20);
 BENCHMARK(BM_SuffixArraySearch)->Range(1 << 12, 1 << 20);
 BENCHMARK(BM_SuffixArrayOccurrences)->Range(1 << 12, 1 << 20);
+BENCHMARK(BM_WordIndexBuild)->Arg(2000)->Arg(4000);
 BENCHMARK(BM_WordIndexExact)->Range(1 << 12, 1 << 18);
 BENCHMARK(BM_WordIndexPrefix)->Range(1 << 12, 1 << 18);
 BENCHMARK(BM_InvertedIndexPrefix)->Range(1 << 12, 1 << 18);

@@ -1,6 +1,7 @@
 #include "core/construct.h"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace regal {
 
@@ -33,8 +34,11 @@ RegionSet Windows(const std::vector<Token>& tokens, Offset before,
   std::vector<Region> out;
   out.reserve(tokens.size());
   for (const Token& t : tokens) {
-    Offset left = std::max<Offset>(0, t.left - before);
-    Offset right = std::min<Offset>(text_size - 1, t.right + after);
+    // Clipped in 64 bits: t.right + after can exceed the Offset range.
+    const auto left =
+        static_cast<Offset>(std::max<int64_t>(0, int64_t{t.left} - before));
+    const auto right = static_cast<Offset>(
+        std::min<int64_t>(text_size - 1, int64_t{t.right} + after));
     if (left <= right) out.push_back(Region{left, right});
   }
   return RegionSet::FromUnsorted(std::move(out));

@@ -87,8 +87,9 @@ class Instance {
   /// Total number of regions across all names.
   size_t NumRegions() const;
 
-  /// Binds text content: builds a SuffixArrayWordIndex over `text`, which
-  /// then answers W(r, p).
+  /// Binds text content: builds a SuffixArrayWordIndex over the vocabulary
+  /// of `text` (a posting list per distinct word and a suffix array of the
+  /// distinct words), which then answers W(r, p).
   void BindText(std::shared_ptr<const Text> text);
 
   /// Declares, in synthetic mode, the exact set of regions for which

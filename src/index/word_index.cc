@@ -1,6 +1,12 @@
 #include "index/word_index.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <numeric>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 
 #include "obs/counters.h"
 #include "util/stringutil.h"
@@ -17,61 +23,120 @@ bool WordIndex::Contains(Offset left, Offset right, const Pattern& p) const {
   return false;
 }
 
-SuffixArrayWordIndex::SuffixArrayWordIndex(const Text* text)
-    : text_(text),
-      tokens_(Tokenize(text->content())),
-      suffix_array_(ToLowerAscii(text->content())) {}
+namespace {
 
-int32_t SuffixArrayWordIndex::TokenAt(int32_t pos) const {
-  // Rightmost token with left <= pos.
-  auto it = std::upper_bound(
-      tokens_.begin(), tokens_.end(), pos,
-      [](int32_t p, const Token& t) { return p < t.left; });
-  if (it == tokens_.begin()) return -1;
-  --it;
-  if (it->right < pos) return -1;
-  return static_cast<int32_t>(it - tokens_.begin());
+// Joins the words of the vocabulary; tokens are [A-Za-z0-9_] only, so no
+// word contains it.
+constexpr char kJoin = '\0';
+
+// Sorts `tokens` by left endpoint, each of which is below `limit`: a
+// least-significant-digit radix sort, so the cost is linear in the number of
+// tokens however many posting lists they came from. The passes split the
+// bits of `limit` evenly, at most kMaxDigitBits each, so a short text gets
+// small digits.
+void SortByLeft(std::vector<Token>* tokens, Offset limit) {
+  constexpr int kMaxDigitBits = 11;
+  const int bits = std::bit_width(static_cast<uint32_t>(limit));
+  const int passes = (bits + kMaxDigitBits - 1) / kMaxDigitBits;
+  if (passes == 0) return;
+  const int digit_bits = (bits + passes - 1) / passes;
+  const uint32_t digit_mask = (1u << digit_bits) - 1;
+  std::vector<Token> sorted(tokens->size());
+  std::vector<size_t> starts(size_t{1} << digit_bits);
+  for (int shift = 0; shift < bits; shift += digit_bits) {
+    auto digit = [shift, digit_mask](const Token& t) {
+      return (static_cast<uint32_t>(t.left) >> shift) & digit_mask;
+    };
+    std::fill(starts.begin(), starts.end(), 0);
+    for (const Token& t : *tokens) ++starts[digit(t)];
+    size_t sum = 0;
+    for (size_t& start : starts) sum += std::exchange(start, sum);
+    for (const Token& t : *tokens) sorted[starts[digit(t)]++] = t;
+    tokens->swap(sorted);
+  }
+}
+
+}  // namespace
+
+SuffixArrayWordIndex::SuffixArrayWordIndex(const Text* text) : text_(text) {
+  const std::string_view content = text->content();
+  const std::vector<Token> tokens = Tokenize(content);
+  // Word ids in order of first occurrence, and each token's word.
+  std::unordered_map<std::string_view, int32_t> ids;
+  std::vector<int32_t> token_words(tokens.size());
+  std::string joined;
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    const std::string_view word = TokenText(content, tokens[i]);
+    const auto [it, added] =
+        ids.try_emplace(word, static_cast<int32_t>(ids.size()));
+    if (added) {
+      word_starts_.push_back(static_cast<int32_t>(joined.size()));
+      for (char c : word) joined += ToLowerAscii(c);
+      joined += kJoin;
+    }
+    token_words[i] = it->second;
+  }
+  word_starts_.push_back(static_cast<int32_t>(joined.size()));
+  // A counting sort of the tokens by word; it is stable, so each posting
+  // list stays in text order.
+  offsets_.assign(ids.size() + 1, 0);
+  for (int32_t w : token_words) ++offsets_[static_cast<size_t>(w) + 1];
+  std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+  std::vector<int32_t> next(offsets_.begin(), offsets_.end() - 1);
+  postings_.resize(tokens.size());
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    const auto w = static_cast<size_t>(token_words[i]);
+    postings_[static_cast<size_t>(next[w]++)] = tokens[i];
+  }
+  vocabulary_ = SuffixArray(std::move(joined));
 }
 
 std::vector<Token> SuffixArrayWordIndex::Matches(const Pattern& p) const {
+  const std::string_view content(text_->content());
+  const int32_t num_words = static_cast<int32_t>(offsets_.size()) - 1;
+  std::vector<int32_t> candidates;
+  int64_t probes = 0;
+  if (p.LiteralCore().empty()) {
+    // Body is all '?': check every word.
+    candidates.resize(static_cast<size_t>(num_words));
+    std::iota(candidates.begin(), candidates.end(), 0);
+    probes = num_words;
+  } else {
+    // The vocabulary is lower-cased, so search the lower-cased core;
+    // case-sensitive patterns are checked on each word's original text below.
+    const auto [lo, hi] = vocabulary_.EqualRange(ToLowerAscii(p.LiteralCore()));
+    probes = hi - lo;
+    candidates.reserve(static_cast<size_t>(hi - lo));
+    for (int32_t slot = lo; slot < hi; ++slot) {
+      // The word whose entry holds the suffix's first byte.
+      const int32_t pos = vocabulary_.sa()[static_cast<size_t>(slot)];
+      candidates.push_back(static_cast<int32_t>(
+          std::upper_bound(word_starts_.begin(), word_starts_.end(), pos) -
+          word_starts_.begin() - 1));
+    }
+    // A word that holds the core more than once fills several slots; check
+    // it once.
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
+  }
   std::vector<Token> out;
-  std::string_view original(text_->content());
-  const std::string& core = p.LiteralCore();
-  if (core.empty()) {
-    // Body is all '?': scan tokens directly.
-    for (const Token& t : tokens_) {
-      if (p.MatchesToken(TokenText(original, t))) out.push_back(t);
-    }
-    if (obs::OpCounters* sink = obs::CountersSink()) {
-      sink->index_probes += static_cast<int64_t>(tokens_.size());
-      sink->comparisons += static_cast<int64_t>(tokens_.size());
-    }
-    return out;
+  size_t matched_words = 0;
+  for (int32_t w : candidates) {
+    const Token* begin = postings_.data() + offsets_[static_cast<size_t>(w)];
+    const Token* end = postings_.data() + offsets_[static_cast<size_t>(w) + 1];
+    if (!p.MatchesToken(TokenText(content, *begin))) continue;
+    out.insert(out.end(), begin, end);
+    ++matched_words;
   }
-  // The suffix array is over lower-cased text, so search the lower-cased
-  // core; case-sensitive patterns are re-verified on the original text by
-  // MatchesToken below.
-  std::vector<int32_t> occurrences =
-      suffix_array_.Occurrences(ToLowerAscii(core));
-  int64_t verifications = 0;
-  int32_t last_token = -1;
-  for (int32_t pos : occurrences) {
-    int32_t token_id = TokenAt(pos);
-    if (token_id < 0 || token_id == last_token) continue;
-    last_token = token_id;
-    const Token& t = tokens_[static_cast<size_t>(token_id)];
-    ++verifications;
-    if (p.MatchesToken(TokenText(original, t))) out.push_back(t);
-  }
+  // One posting list is in text order already.
+  if (matched_words > 1) SortByLeft(&out, text_->size());
   if (obs::OpCounters* sink = obs::CountersSink()) {
-    // One probe per suffix-array occurrence, one comparison per full-pattern
-    // verification against a candidate token.
-    sink->index_probes += static_cast<int64_t>(occurrences.size());
-    sink->comparisons += verifications;
+    // One probe per vocabulary-array slot in the core's range (per word
+    // scanned when the core is empty), one comparison per candidate word.
+    sink->index_probes += probes;
+    sink->comparisons += static_cast<int64_t>(candidates.size());
   }
-  // Occurrences are in text order and each token is considered once (its
-  // first core hit), so `out` is already sorted; dedup defensively.
-  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 

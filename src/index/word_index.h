@@ -19,7 +19,8 @@ namespace regal {
 ///
 /// Two implementations are provided and cross-checked in the tests:
 /// SuffixArrayWordIndex (the PAT-array approach of the commercial system the
-/// paper studies) and InvertedWordIndex (the classic IR structure).
+/// paper studies, over the vocabulary) and InvertedWordIndex (the classic IR
+/// structure).
 class WordIndex {
  public:
   virtual ~WordIndex() = default;
@@ -31,30 +32,38 @@ class WordIndex {
   /// W(r, p) for r = [left, right].
   virtual bool Contains(Offset left, Offset right, const Pattern& p) const;
 
-  /// Number of distinct tokens in the indexed text (for cost estimation).
+  /// Number of tokens in the indexed text.
   virtual int64_t NumTokens() const = 0;
 };
 
-/// Word index backed by a suffix array over the lower-cased text. Pattern
-/// lookups binary-search the literal core of the pattern, then verify the
-/// enclosing token against the full pattern on the original text.
+/// Word index backed by a suffix array over the vocabulary. Building it
+/// gives each distinct token string a word id and a posting list of its
+/// tokens in text order, and sorts the suffixes of the lower-cased distinct
+/// words joined by a byte no token contains, so the suffix array is the size
+/// of the vocabulary, not of the text. A lookup binary-searches the
+/// lower-cased literal core of the pattern, maps the matching slots to their
+/// words, checks each such word once against the full pattern (which keeps
+/// case-sensitive patterns exact), and merges the postings of the words that
+/// match. A pattern with an empty core checks every word.
 class SuffixArrayWordIndex : public WordIndex {
  public:
   /// Builds the index. `text` must outlive the index.
   explicit SuffixArrayWordIndex(const Text* text);
 
   std::vector<Token> Matches(const Pattern& p) const override;
-  int64_t NumTokens() const override { return static_cast<int64_t>(tokens_.size()); }
-
-  const SuffixArray& suffix_array() const { return suffix_array_; }
+  int64_t NumTokens() const override {
+    return static_cast<int64_t>(postings_.size());
+  }
 
  private:
-  /// Token enclosing text offset `pos`, or -1.
-  int32_t TokenAt(int32_t pos) const;
-
   const Text* text_;
-  std::vector<Token> tokens_;  // Sorted by left.
-  SuffixArray suffix_array_;   // Over the lower-cased text.
+  // Word w's tokens, in text order, are postings_[offsets_[w], offsets_[w+1]).
+  std::vector<int32_t> offsets_;
+  std::vector<Token> postings_;
+  // Word w's lower-cased text, then the join byte, starts at word_starts_[w]
+  // of vocabulary_.text(); the last element is that text's size.
+  std::vector<int32_t> word_starts_;
+  SuffixArray vocabulary_;
 };
 
 /// Word index backed by a vocabulary -> postings map. Exact and prefix

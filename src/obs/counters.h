@@ -9,7 +9,7 @@ namespace obs {
 /// Low-level work counters reported by the hot operator implementations
 /// (core/algebra, core/extended, index/word_index). Semantics per field:
 ///
-///  * `comparisons`  — region/region or token/pattern comparisons. Linear
+///  * `comparisons`  — region/region or word/pattern comparisons. Linear
 ///    merges count one per consumed element (a bulk-appended run of c
 ///    elements charges c, so the SIMD and scalar kernel tiers agree
 ///    exactly); the structural semi-joins count one per region of their
@@ -18,12 +18,18 @@ namespace obs {
 ///    data-dependent early-exit count), so the counter stays exact-shape
 ///    without instrumenting std::lower_bound and is identical across ISA
 ///    tiers; naive oracles count their inner-loop iterations, so the
-///    quadratic/linear gap of E8 is directly visible in this counter.
+///    quadratic/linear gap of E8 is directly visible in this counter. The
+///    suffix-array word index charges one per distinct candidate word it
+///    checks against the full pattern; the inverted index one per
+///    vocabulary key it scans.
 ///  * `merge_steps`  — input elements consumed by linear sweeps (set
 ///    operations, order and structural semi-joins, token merges).
-///  * `index_probes` — point lookups against an index structure: one per
-///    suffix-array/vocabulary probe in the word indexes, and one per
-///    RegionSet::Member lookup in the naive set oracles.
+///  * `index_probes` — lookups against an index structure. The
+///    suffix-array word index charges one per vocabulary-array slot in the
+///    range of the pattern's literal core, or one per word it scans when
+///    the core is empty; the inverted index one per vocabulary key it
+///    visits (one for an exact lookup); the naive set oracles one per
+///    RegionSet::Member lookup.
 ///
 /// Collection is opt-in via a thread-local sink: operators tally into stack
 /// locals (free — they live in registers) and flush once per call *only*

@@ -834,6 +834,11 @@ Status QueryEngine::DefineSpanView(const std::string& name,
 Status QueryEngine::DefineWindowView(const std::string& name,
                                      const Pattern& pattern, Offset before,
                                      Offset after) {
+  if (before < 0 || after < 0) {
+    return Status::InvalidArgument(
+        "window view '" + name + "' needs non-negative before and after, got " +
+        std::to_string(before) + " and " + std::to_string(after));
+  }
   std::unique_lock<std::shared_mutex> lock(*catalog_mu_);
   REGAL_RETURN_NOT_OK(CheckViewName(name));
   if (instance_.text() == nullptr || instance_.word_index() == nullptr) {

@@ -274,7 +274,8 @@ class QueryEngine {
                         const std::string& ends_query);
 
   /// A *window view*: regions of ±(before, after) bytes around each token
-  /// matching the pattern. Requires a text-backed catalog.
+  /// matching the pattern. Requires a text-backed catalog; a negative
+  /// `before` or `after` is rejected with kInvalidArgument.
   Status DefineWindowView(const std::string& name, const Pattern& pattern,
                           Offset before, Offset after);
 

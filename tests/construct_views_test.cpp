@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/construct.h"
 #include "query/engine.h"
 
@@ -57,6 +59,17 @@ TEST(WindowsTest, ZeroPaddingIsTokenItself) {
   std::vector<Token> tokens{Token{5, 7}};
   RegionSet windows = Windows(tokens, 0, 0, 100);
   EXPECT_EQ(windows[0], (Region{5, 7}));
+}
+
+// right + after exceeds the Offset range; the window still ends at the
+// text's last byte.
+TEST(WindowsTest, HugeAfterClipsWithoutOverflow) {
+  std::vector<Token> tokens{Token{2, 4}, Token{8, 10}};
+  RegionSet windows =
+      Windows(tokens, 0, std::numeric_limits<Offset>::max(), 14);
+  ASSERT_EQ(windows.size(), 2u);
+  EXPECT_EQ(windows[0], (Region{2, 13}));
+  EXPECT_EQ(windows[1], (Region{8, 13}));
 }
 
 constexpr char kDoc[] =
@@ -122,6 +135,17 @@ TEST(ViewsTest, WindowViewNeedsText) {
   QueryEngine engine(std::move(synthetic));
   EXPECT_FALSE(
       engine.DefineWindowView("w", *Pattern::Parse("x"), 1, 1).ok());
+}
+
+TEST(ViewsTest, WindowViewRejectsNegativePadding) {
+  auto engine = QueryEngine::FromSgmlSource(kDoc);
+  ASSERT_TRUE(engine.ok());
+  const Pattern gamma = *Pattern::Parse("gamma");
+  EXPECT_EQ(engine->DefineWindowView("ctx", gamma, -1, 4).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine->DefineWindowView("ctx", gamma, 4, -1).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(engine->Run("ctx").ok());  // Nothing was bound.
 }
 
 TEST(ViewsTest, MaterializedViewUsableInStructuralOps) {

@@ -3,12 +3,16 @@
 #include <algorithm>
 #include <bit>
 #include <numeric>
+#include <set>
 #include <string>
 #include <string_view>
 
+#include "doc/dictionary.h"
 #include "index/suffix_array.h"
 #include "index/word_index.h"
+#include "obs/counters.h"
 #include "util/random.h"
+#include "util/stringutil.h"
 
 namespace regal {
 namespace {
@@ -230,6 +234,34 @@ TEST_F(WordIndexTest, TokenCountsAgree) {
   EXPECT_LE(inv_index_->VocabularySize(), inv_index_->NumTokens());
 }
 
+// index_probes counts the vocabulary-array slots in the core's range (the
+// words scanned when the core is empty); comparisons counts the distinct
+// candidate words checked against the pattern.
+TEST_F(WordIndexTest, CountersChargeVocabularyWork) {
+  const struct {
+    const char* spec;
+    int64_t probes;
+    int64_t comparisons;
+    size_t matches;
+  } cases[] = {
+      // One slot and one word, for three tokens.
+      {"the", 1, 1, 3},
+      // 'o' fills 7 slots of 6 words: fox_trot holds it twice.
+      {"*o*", 7, 6, 6},
+      // An all-'?' body checks each of the 13 distinct words once.
+      {"???", 13, 13, 5},
+  };
+  for (const auto& c : cases) {
+    obs::OpCounters counters;
+    obs::OpCounters* previous = obs::SwapCountersSink(&counters);
+    const size_t matches = sa_index_->Matches(*Pattern::Parse(c.spec)).size();
+    obs::SwapCountersSink(previous);
+    EXPECT_EQ(counters.index_probes, c.probes) << c.spec;
+    EXPECT_EQ(counters.comparisons, c.comparisons) << c.spec;
+    EXPECT_EQ(matches, c.matches) << c.spec;
+  }
+}
+
 TEST(WordIndexRandomTest, ImplementationsAgreeOnRandomText) {
   Rng rng(23);
   for (int trial = 0; trial < 10; ++trial) {
@@ -253,6 +285,183 @@ TEST(WordIndexRandomTest, ImplementationsAgreeOnRandomText) {
       EXPECT_TRUE(std::equal(ma.begin(), ma.end(), mb.begin(), mb.end()));
     }
   }
+}
+
+// Every byte no token contains, '*' (which the pattern syntax reserves)
+// last: whatever byte the vocabulary index joins its words with is among
+// them, and so are NUL and the bytes >= 0x80.
+std::string NonWordBytes() {
+  std::string bytes;
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    if (!IsIdentChar(c) && c != '*') bytes += c;
+  }
+  return bytes + '*';
+}
+
+// Checks both word indexes over `content` against a scan that tests every
+// token with MatchesToken, and the suffix-array index's counters against
+// their definitions where the core holds only word bytes: one probe per
+// occurrence of the lower-cased core in a lower-cased distinct word (one per
+// word for an empty core), one comparison per distinct word holding it.
+void ExpectIndexesMatchScan(const std::string& content,
+                            const std::vector<Pattern>& patterns) {
+  const Text text(content);
+  const SuffixArrayWordIndex sa(&text);
+  const InvertedWordIndex inv(&text);
+  const std::vector<Token> tokens = Tokenize(content);
+  ASSERT_EQ(sa.NumTokens(), static_cast<int64_t>(tokens.size()));
+  std::set<std::string> distinct;
+  for (const Token& t : tokens) {
+    distinct.insert(std::string(TokenText(content, t)));
+  }
+  // Lower-cased one by one: "Quick" and "quick" are two words.
+  std::vector<std::string> vocabulary;
+  for (const std::string& word : distinct) {
+    vocabulary.push_back(ToLowerAscii(word));
+  }
+  for (const Pattern& p : patterns) {
+    std::vector<Token> want;
+    for (const Token& t : tokens) {
+      if (p.MatchesToken(TokenText(content, t))) want.push_back(t);
+    }
+    obs::OpCounters counters;
+    obs::OpCounters* previous = obs::SwapCountersSink(&counters);
+    const std::vector<Token> got = sa.Matches(p);
+    obs::SwapCountersSink(previous);
+    const std::string what = ::testing::PrintToString(p.CacheKey()) +
+                             " over " +
+                             ::testing::PrintToString(content.substr(0, 60));
+    const std::string core = ToLowerAscii(p.LiteralCore());
+    if (std::all_of(core.begin(), core.end(), IsIdentChar)) {
+      int64_t probes = 0;
+      int64_t comparisons = 0;
+      for (const std::string& word : vocabulary) {
+        int64_t hits = core.empty() ? 1 : 0;
+        for (size_t at = word.find(core); !core.empty() && at != word.npos;
+             at = word.find(core, at + 1)) {
+          ++hits;
+        }
+        probes += hits;
+        comparisons += hits > 0 ? 1 : 0;
+      }
+      EXPECT_EQ(counters.index_probes, probes) << what;
+      EXPECT_EQ(counters.comparisons, comparisons) << what;
+    }
+    // Sorted by left endpoint, no token twice.
+    EXPECT_TRUE(std::adjacent_find(got.begin(), got.end(),
+                                   [](const Token& a, const Token& b) {
+                                     return a.left >= b.left;
+                                   }) == got.end())
+        << what;
+    EXPECT_TRUE(got == want) << what << ": " << got.size() << " tokens, want "
+                             << want.size();
+    EXPECT_TRUE(inv.Matches(p) == want) << what << " (inverted)";
+  }
+}
+
+// A random pattern: a body of 1-4 bytes over the words' letters, '?' and now
+// and then a non-word byte, with or without each '*' and the
+// case-insensitive flag.
+Pattern RandomPattern(Rng* rng, const std::string& separators) {
+  static constexpr char kBody[] = "aAbBzZ09_?";
+  std::string spec = rng->Chance(0.5) ? "*" : "";
+  const int length = static_cast<int>(1 + rng->Below(4));
+  for (int i = 0; i < length; ++i) {
+    spec += rng->Chance(0.1)
+                ? separators[rng->Below(separators.size() - 1)]  // Not '*'.
+                : kBody[rng->Below(sizeof(kBody) - 1)];
+  }
+  if (rng->Chance(0.5)) spec += '*';
+  return *Pattern::Parse(spec, rng->Chance(0.5));
+}
+
+// The suffix-array index, the inverted index and a token scan return the
+// same tokens for random texts of mixed-case words that repeat, separated by
+// any non-word bytes; for texts with no tokens; and for a generated
+// dictionary under every pattern family the end-to-end benchmark issues.
+TEST(WordIndexDifferentialTest, IndexesAgreeWithTokenScan) {
+  const std::string separators = NonWordBytes();
+  std::vector<Pattern> core_patterns;
+  // Cores holding each non-word byte, the join byte among them; none of
+  // them can match a token.
+  for (char sep : separators.substr(0, separators.size() - 1)) {
+    for (const std::string& spec :
+         {"*" + std::string(1, sep) + "*", "a" + std::string(1, sep) + "*",
+          "*b" + std::string(1, sep) + "a*", "?" + std::string(1, sep)}) {
+      for (bool ci : {false, true}) {
+        core_patterns.push_back(*Pattern::Parse(spec, ci));
+      }
+    }
+  }
+
+  Rng rng(29);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<std::string> pool;
+    for (int i = 0; i < 6; ++i) {
+      std::string word;
+      const int length = static_cast<int>(1 + rng.Below(5));
+      for (int j = 0; j < length; ++j) word += "aAbBzZ09_"[rng.Below(9)];
+      pool.push_back(word);
+    }
+    std::string content;
+    const int words = static_cast<int>(rng.Below(80));
+    for (int i = 0; i < words; ++i) {
+      content += pool[rng.Below(pool.size())];
+      const int gap = static_cast<int>(1 + rng.Below(3));
+      for (int j = 0; j < gap; ++j) {
+        content += separators[rng.Below(separators.size())];
+      }
+    }
+    std::vector<Pattern> patterns;
+    for (int q = 0; q < 60; ++q) {
+      patterns.push_back(RandomPattern(&rng, separators));
+    }
+    // Every word of the pool, exactly and as a prefix, in both case modes.
+    for (const std::string& word : pool) {
+      for (bool ci : {false, true}) {
+        patterns.push_back(*Pattern::Parse(word, ci));
+        patterns.push_back(*Pattern::Parse(word + "*", ci));
+      }
+    }
+    if (trial % 8 == 0) {
+      patterns.insert(patterns.end(), core_patterns.begin(),
+                      core_patterns.end());
+    }
+    ExpectIndexesMatchScan(content, patterns);
+  }
+
+  std::vector<Pattern> patterns = core_patterns;
+  for (int q = 0; q < 60; ++q) {
+    patterns.push_back(RandomPattern(&rng, separators));
+  }
+  for (const std::string& content :
+       {std::string(), std::string(" "), std::string(3, '\0'), separators}) {
+    ExpectIndexesMatchScan(content, patterns);
+  }
+
+  DictionaryGeneratorOptions options;
+  options.entries = 200;
+  std::vector<std::string> specs = {"CHAUCER", "SHAKESPEARE", "MILTON",
+                                    "JOHNSON", "AUSTEN",      "DICKENS",
+                                    "n",       "v",           "adj",
+                                    "adv",     "hw0",         "hw199",
+                                    "hw200",   "hw1999",      "term",
+                                    "term*"};
+  for (int n = 0; n < 120; ++n) specs.push_back("term" + std::to_string(n));
+  for (int n = 2; n < 12; ++n) {
+    specs.push_back("term" + std::to_string(n) + "*");
+  }
+  for (int n = 4; n < 9; ++n) specs.push_back("1" + std::to_string(n) + "*");
+  for (int n = 0; n < 2000; n += 37) specs.push_back("hw" + std::to_string(n));
+  for (int year = 1400; year < 1900; year += 23) {
+    specs.push_back(std::to_string(year));
+  }
+  patterns.clear();
+  for (const std::string& spec : specs) {
+    for (bool ci : {false, true}) patterns.push_back(*Pattern::Parse(spec, ci));
+  }
+  ExpectIndexesMatchScan(GenerateDictionarySource(options), patterns);
 }
 
 }  // namespace
