@@ -22,8 +22,16 @@ QueryEngine MakeDictionaryEngine(int entries) {
   return std::move(engine).value();
 }
 
+// The query benches time evaluation, so they run with the result cache
+// off: with it on, every iteration after the first is a root cache hit.
+QueryEngine MakeUncachedEngine(int entries) {
+  QueryEngine engine = MakeDictionaryEngine(entries);
+  engine.set_result_cache_enabled(false);
+  return engine;
+}
+
 void BM_StructuralQuery(benchmark::State& state) {
-  QueryEngine engine = MakeDictionaryEngine(static_cast<int>(state.range(0)));
+  QueryEngine engine = MakeUncachedEngine(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     auto answer = engine.Run("sense within entry within dictionary");
     if (!answer.ok()) state.SkipWithError("query failed");
@@ -36,7 +44,7 @@ void BM_StructuralQuery(benchmark::State& state) {
 // the full cost of span tracing — the disabled path itself is checked against
 // the seed numbers of bench_operators, which never construct a tracer.
 void BM_StructuralQueryProfiled(benchmark::State& state) {
-  QueryEngine engine = MakeDictionaryEngine(static_cast<int>(state.range(0)));
+  QueryEngine engine = MakeUncachedEngine(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     auto answer =
         engine.Run("explain analyze sense within entry within dictionary");
@@ -46,7 +54,7 @@ void BM_StructuralQueryProfiled(benchmark::State& state) {
 }
 
 void BM_ContentQuery(benchmark::State& state) {
-  QueryEngine engine = MakeDictionaryEngine(static_cast<int>(state.range(0)));
+  QueryEngine engine = MakeUncachedEngine(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     auto answer =
         engine.Run("entry including (author matching \"SHAKESPEARE\")");
@@ -56,7 +64,7 @@ void BM_ContentQuery(benchmark::State& state) {
 }
 
 void BM_BothIncludedQuery(benchmark::State& state) {
-  QueryEngine engine = MakeDictionaryEngine(static_cast<int>(state.range(0)));
+  QueryEngine engine = MakeUncachedEngine(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     auto answer = engine.Run(
         "bi(entry, def matching \"term1\", qtext matching \"term2\")");
@@ -66,7 +74,7 @@ void BM_BothIncludedQuery(benchmark::State& state) {
 }
 
 void BM_ViewQuery(benchmark::State& state) {
-  QueryEngine engine = MakeDictionaryEngine(static_cast<int>(state.range(0)));
+  QueryEngine engine = MakeUncachedEngine(static_cast<int>(state.range(0)));
   if (!engine
            .DefineView("bard",
                        "entry including (author matching \"SHAKESPEARE\")")

@@ -34,6 +34,7 @@ ResultCache::ResultCache(ResultCacheOptions options)
   misses_ = registry.GetCounter("regal_cache_misses_total");
   inserts_ = registry.GetCounter("regal_cache_inserts_total");
   evictions_ = registry.GetCounter("regal_cache_evictions_total");
+  superseded_ = registry.GetCounter("regal_cache_superseded_total");
   insert_failures_ = registry.GetCounter("regal_cache_insert_failures_total");
   bytes_gauge_ = registry.GetGauge("regal_cache_bytes");
   hit_ratio_gauge_ = registry.GetGauge("regal_cache_hit_ratio");
@@ -52,10 +53,9 @@ int64_t ResultCache::EntryBytes(const RegionSet& value) {
          kEntryOverheadBytes;
 }
 
-bool ResultCache::MatchesLocked(const Entry& entry, const Key& key,
-                                const ExprPtr& canonical) const {
+bool ResultCache::SameExprLocked(const Entry& entry, const Key& key,
+                                 const ExprPtr& canonical) const {
   return entry.key.instance_id == key.instance_id &&
-         entry.key.epoch == key.epoch &&
          entry.key.fingerprint == key.fingerprint &&
          entry.canonical->Equals(*canonical);
 }
@@ -67,7 +67,8 @@ std::shared_ptr<const RegionSet> ResultCache::Lookup(const Key& key,
   std::lock_guard<std::mutex> lock(shard.mu);
   auto [lo, hi] = shard.index.equal_range(key.fingerprint);
   for (auto it = lo; it != hi; ++it) {
-    if (MatchesLocked(*it->second, key, canonical)) {
+    if (it->second->key.stamp == key.stamp &&
+        SameExprLocked(*it->second, key, canonical)) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       hits_->Increment();
       PublishHitRatio();
@@ -104,40 +105,59 @@ bool ResultCache::Insert(const Key& key, const ExprPtr& canonical,
   }
   Shard& shard = ShardFor(key);
   int64_t evicted = 0;
+  bool superseded = false;
+  bool inserted = false;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto [lo, hi] = shard.index.equal_range(key.fingerprint);
     for (auto it = lo; it != hi; ++it) {
-      if (MatchesLocked(*it->second, key, canonical)) {
-        // Another query already published this result; keep the incumbent
-        // (the values are equal by construction) and refresh its position.
+      if (!SameExprLocked(*it->second, key, canonical)) continue;
+      if (it->second->key.stamp >= key.stamp) {
+        // Equal stamps: another query already published this result; keep
+        // the incumbent (the values are equal by construction) and refresh
+        // its position. A newer incumbent means this result is stale.
+        if (it->second->key.stamp > key.stamp) superseded_->Increment();
         shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
         return false;
       }
+      // The state this entry was computed from is gone for good. Every
+      // insert drops its predecessor, so there is at most one to drop.
+      EraseLocked(shard, it->second);
+      superseded = true;
+      break;
     }
     while (shard.bytes + entry_bytes > shard_max_bytes_) {
       // Failpoint: eviction under pressure. A fired site abandons the
       // insert — the cache is best-effort, the query result still stands.
-      if (safety::FailpointFires("cache.evict.pressure")) {
-        insert_failures_->Increment();
-        if (stats != nullptr) ++stats->insert_failures;
-        return false;
-      }
+      if (safety::FailpointFires("cache.evict.pressure")) break;
       EraseLocked(shard, std::prev(shard.lru.end()));
       ++evicted;
     }
-    shard.lru.push_front(Entry{key, canonical, std::move(value), entry_bytes});
-    shard.index.emplace(key.fingerprint, shard.lru.begin());
-    shard.bytes += entry_bytes;
+    inserted = shard.bytes + entry_bytes <= shard_max_bytes_;
+    if (inserted) {
+      shard.lru.push_front(
+          Entry{key, canonical, std::move(value), entry_bytes});
+      shard.index.emplace(key.fingerprint, shard.lru.begin());
+      shard.bytes += entry_bytes;
+    }
   }
-  inserts_->Increment();
+  if (superseded) superseded_->Increment();
   if (evicted > 0) evictions_->Increment(evicted);
+  if (inserted) {
+    inserts_->Increment();
+  } else {
+    insert_failures_->Increment();
+  }
   if (stats != nullptr) {
-    ++stats->inserts;
+    if (inserted) {
+      ++stats->inserts;
+    } else {
+      ++stats->insert_failures;
+    }
     stats->evictions += evicted;
   }
   PublishBytes();
-  return true;
+  return inserted;
 }
 
 void ResultCache::Clear() {

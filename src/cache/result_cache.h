@@ -39,12 +39,16 @@ struct CacheQueryStats {
 };
 
 /// A byte-accounted, sharded LRU cache of materialized query results,
-/// shared across queries. Keys are (instance id, instance epoch, canonical
-/// expression fingerprint); a fingerprint match is verified against the
-/// stored canonical expression (Expr::CanonicalEquals' normal form), so a
-/// 64-bit collision can never surface a wrong result. Invalidation is by
-/// epoch: mutating the instance bumps Instance::epoch(), stale entries stop
-/// matching and age out through the LRU lists.
+/// shared across queries. Keys are (instance id, stamp, canonical
+/// expression fingerprint), built by CacheKeyer (core/eval.h): the stamp is
+/// the newest mutation epoch among the state the expression reads, so a
+/// write changes the keys of exactly the answers that read what it wrote.
+/// A fingerprint match is verified against the stored canonical expression
+/// (Expr::CanonicalEquals' normal form), so a 64-bit collision can never
+/// surface a wrong result. Stamps only grow, so an entry with an older
+/// stamp than a new one for the same instance and canonical form can never
+/// hit again: Insert drops it at once (regal_cache_superseded_total), and
+/// abandons an insert that arrives older than its incumbent.
 ///
 /// Thread-safe: lookups and inserts from concurrent queries (and from the
 /// parallel evaluator's pool threads) lock only the shard they touch.
@@ -54,7 +58,8 @@ struct CacheQueryStats {
 ///
 /// Activity is exported through obs as regal_cache_hits_total,
 /// regal_cache_misses_total, regal_cache_inserts_total,
-/// regal_cache_evictions_total, regal_cache_insert_failures_total and the
+/// regal_cache_evictions_total (pressure only), regal_cache_superseded_total,
+/// regal_cache_insert_failures_total and the
 /// regal_cache_bytes / regal_cache_hit_ratio gauges (the latter refreshed on
 /// every lookup, so a /metrics scrape always sees the current lifetime
 /// ratio). The eviction loop carries the
@@ -65,7 +70,7 @@ class ResultCache {
  public:
   struct Key {
     uint64_t instance_id = 0;
-    uint64_t epoch = 0;
+    uint64_t stamp = 0;
     uint64_t fingerprint = 0;
   };
 
@@ -80,15 +85,18 @@ class ResultCache {
                                           const ExprPtr& canonical,
                                           CacheQueryStats* stats = nullptr);
 
-  /// Publishes `value` under `key`, evicting LRU entries as needed. False
-  /// when the insert was abandoned: the entry alone exceeds the shard
-  /// budget, the eviction failpoint fired, or an equal entry already
-  /// exists (another query won the race; not counted as a failure).
+  /// Publishes `value` under `key`, first dropping an entry for the same
+  /// instance and canonical form with an older stamp, then evicting LRU
+  /// entries as needed. False when the insert was abandoned: the entry
+  /// alone exceeds the shard budget, the eviction failpoint fired, an equal
+  /// entry already exists (another query won the race; not counted as a
+  /// failure), or one with a newer stamp does (counted as superseded).
   bool Insert(const Key& key, const ExprPtr& canonical,
               std::shared_ptr<const RegionSet> value,
               CacheQueryStats* stats = nullptr);
 
-  /// Drops every entry (tests; engines invalidate by epoch instead).
+  /// Drops every entry (tests, and the engine when ReloadSnapshot replaces
+  /// the instance every entry was keyed to).
   void Clear();
 
   int64_t bytes() const;    // Current accounted footprint.
@@ -116,8 +124,9 @@ class ResultCache {
   Shard& ShardFor(const Key& key) {
     return shards_[key.fingerprint & (shards_.size() - 1)];
   }
-  bool MatchesLocked(const Entry& entry, const Key& key,
-                     const ExprPtr& canonical) const;
+  /// Same instance and canonical form as `key`/`canonical`, any stamp.
+  bool SameExprLocked(const Entry& entry, const Key& key,
+                      const ExprPtr& canonical) const;
   void EraseLocked(Shard& shard, std::list<Entry>::iterator it);
   void PublishBytes() const;
   void PublishHitRatio() const;
@@ -131,6 +140,7 @@ class ResultCache {
   obs::Counter* misses_;
   obs::Counter* inserts_;
   obs::Counter* evictions_;
+  obs::Counter* superseded_;
   obs::Counter* insert_failures_;
   obs::Gauge* bytes_gauge_;
   obs::Gauge* hit_ratio_gauge_;

@@ -1,5 +1,6 @@
 #include "core/eval.h"
 
+#include <algorithm>
 #include <optional>
 #include <utility>
 
@@ -51,10 +52,46 @@ std::string ExprSpanDetail(const Expr& e) {
       return e.name();
     case OpKind::kSelect:
     case OpKind::kWordMatch:
-      return "\"" + e.pattern().body() + "\"";
+      // As Expr::ToString renders the pattern: wildcards and the `~` flag.
+      return (e.pattern().case_insensitive() ? "~\"" : "\"") +
+             e.pattern().ToString() + "\"";
     default:
       return "";
   }
+}
+
+cache::ResultCache::Key CacheKeyer::Key(const ExprPtr& e) {
+  ExprPtr canonical = canonicalizer_.Canonical(e);
+  return cache::ResultCache::Key{instance_->id(), Stamp(canonical),
+                                 canonicalizer_.Hash(e)};
+}
+
+uint64_t CacheKeyer::Stamp(const ExprPtr& canonical) {
+  auto it = stamps_.find(canonical.get());
+  if (it != stamps_.end()) return it->second;
+  uint64_t stamp = 0;
+  switch (canonical->kind()) {
+    case OpKind::kName:
+      if (bindings_ == nullptr || bindings_->count(canonical->name()) == 0) {
+        stamp = instance_->NameStamp(canonical->name());
+      }
+      break;
+    case OpKind::kDirectIncluding:
+    case OpKind::kDirectIncluded:
+      stamp = instance_->epoch();
+      break;
+    case OpKind::kSelect:
+    case OpKind::kWordMatch:
+      stamp = instance_->content_stamp();
+      [[fallthrough]];
+    default:
+      for (const ExprPtr& child : canonical->children()) {
+        stamp = std::max(stamp, Stamp(child));
+      }
+      break;
+  }
+  stamps_.emplace(canonical.get(), stamp);
+  return stamp;
 }
 
 Result<RegionSet> Evaluator::Evaluate(const ExprPtr& e) {
@@ -63,8 +100,8 @@ Result<RegionSet> Evaluator::Evaluate(const ExprPtr& e) {
     memo_.clear();
   }
   if (options_.result_cache != nullptr) {
-    std::lock_guard<std::mutex> lock(canon_mu_);
-    cache_epoch_ = instance_->epoch();
+    std::lock_guard<std::mutex> lock(key_mu_);
+    keyer_.emplace(instance_, options_.bindings);
   }
   REGAL_ASSIGN_OR_RETURN(SharedSet result, Eval(e));
   // A partitioned kernel whose chunks saw ShouldAbort() bails and leaves a
@@ -113,10 +150,9 @@ Result<Evaluator::SharedSet> Evaluator::Eval(const ExprPtr& e) {
   ExprPtr canonical;
   if (cacheable) {
     {
-      std::lock_guard<std::mutex> lock(canon_mu_);
-      canonical = canonicalizer_.Canonical(e);
-      cache_key = cache::ResultCache::Key{instance_->id(), cache_epoch_,
-                                          canonicalizer_.Hash(e)};
+      std::lock_guard<std::mutex> lock(key_mu_);
+      canonical = keyer_->Canonical(e);
+      cache_key = keyer_->Key(e);
     }
     std::shared_ptr<const RegionSet> hit = options_.result_cache->Lookup(
         cache_key, canonical, options_.cache_stats);

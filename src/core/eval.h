@@ -7,6 +7,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <unordered_map>
 
 #include "cache/result_cache.h"
@@ -66,8 +68,10 @@ struct EvalOptions {
   /// Per-query count of parallel kernels that degraded to their sequential
   /// twins, forwarded to every kernel dispatch; nullptr means untracked.
   std::atomic<int64_t>* kernel_fallbacks = nullptr;
-  /// Cross-query result cache (see cache/result_cache.h), keyed by the
-  /// instance's (id, epoch) and each subtree's canonical fingerprint. When
+  /// Cross-query result cache (see cache/result_cache.h), keyed by
+  /// CacheKeyer: the instance id, the subtree's stamp (the newest mutation
+  /// epoch among the names, W and region tree it reads) and its canonical
+  /// fingerprint. When
   /// set (and use_naive is off — the naive oracle stays pure), the first
   /// arrival at every non-scan node probes the cache and seeds the memo on
   /// a hit, so the subtree short-circuits without re-execution; computed
@@ -79,6 +83,40 @@ struct EvalOptions {
   /// Per-query cache activity for the `explain analyze` cache envelope;
   /// nullptr means untracked.
   cache::CacheQueryStats* cache_stats = nullptr;
+};
+
+/// Builds the result-cache key (cache/result_cache.h) of every subtree
+/// evaluated against one instance state: (instance id, stamp, canonical
+/// fingerprint). The stamp is the newest mutation epoch among the state
+/// the subtree's canonical form reads:
+///  * a name: Instance::NameStamp, or 0 when `bindings` binds it (views
+///    are define-once and die with their instance id on reload);
+///  * σ and `word`: Instance::content_stamp(), with σ's operand;
+///  * ⊃_d and ⊂_d: Instance::epoch(), for they read the region tree;
+///  * every other operator: the newest of its operands' stamps.
+/// Epochs only grow, so a write to anything a subtree reads raises its
+/// stamp, and a write to anything else leaves its key (and hits) intact.
+/// Memoized per node, so the state must not change while a keyer lives;
+/// not thread-safe.
+class CacheKeyer {
+ public:
+  explicit CacheKeyer(const Instance* instance,
+                      const std::map<std::string, RegionSet>* bindings =
+                          nullptr)
+      : instance_(instance), bindings_(bindings) {}
+
+  /// Canonical form of `e` (the form a cache entry is verified against).
+  ExprPtr Canonical(const ExprPtr& e) { return canonicalizer_.Canonical(e); }
+  /// The cache key of `e`.
+  cache::ResultCache::Key Key(const ExprPtr& e);
+
+ private:
+  uint64_t Stamp(const ExprPtr& canonical);
+
+  const Instance* instance_;
+  const std::map<std::string, RegionSet>* bindings_;
+  ExprCanonicalizer canonicalizer_;
+  std::unordered_map<const Expr*, uint64_t> stamps_;  // canonical -> stamp
 };
 
 /// Counters accumulated across Evaluate calls; the optimizer benches read
@@ -140,13 +178,11 @@ class Evaluator {
   std::mutex mu_;
   std::condition_variable memo_cv_;
   std::unordered_map<const Expr*, MemoEntry> memo_;
-  // Cross-query cache plumbing: the canonicalizer memoizes fingerprints
-  // per node (guarded separately — canonicalization can be heavy and must
-  // not serialize against the memo), and the epoch is snapshotted at
-  // Evaluate entry so one call never mixes epochs.
-  std::mutex canon_mu_;
-  ExprCanonicalizer canonicalizer_;
-  uint64_t cache_epoch_ = 0;
+  // Cross-query cache plumbing: one keyer per Evaluate call memoizes the
+  // canonical forms and stamps per node (guarded separately —
+  // canonicalization can be heavy and must not serialize against the memo).
+  std::mutex key_mu_;
+  std::optional<CacheKeyer> keyer_;
 };
 
 /// One-shot convenience wrapper.

@@ -14,9 +14,12 @@ uint64_t Instance::NextId() {
 
 Instance Instance::Clone() const {
   Instance out;
+  out.epoch_ = epoch_;
+  out.content_stamp_ = content_stamp_;
   out.names_ = names_;
   out.name_to_id_ = name_to_id_;
   out.sets_ = sets_;
+  out.set_stamps_ = set_stamps_;
   out.text_ = text_;
   out.word_index_ = word_index_;
   out.synthetic_w_ = synthetic_w_;
@@ -30,8 +33,8 @@ Status Instance::AddRegionSet(const std::string& name, RegionSet regions) {
   name_to_id_[name] = names_.size();
   names_.push_back(name);
   sets_.push_back(std::move(regions));
+  set_stamps_.push_back(++epoch_);
   InvalidateTree();
-  ++epoch_;
   return Status::OK();
 }
 
@@ -41,11 +44,12 @@ void Instance::SetRegionSet(const std::string& name, RegionSet regions) {
     name_to_id_[name] = names_.size();
     names_.push_back(name);
     sets_.push_back(std::move(regions));
+    set_stamps_.push_back(++epoch_);
   } else {
     sets_[it->second] = std::move(regions);
+    set_stamps_[it->second] = ++epoch_;
   }
   InvalidateTree();
-  ++epoch_;
 }
 
 Result<const RegionSet*> Instance::Get(const std::string& name) const {
@@ -54,6 +58,11 @@ Result<const RegionSet*> Instance::Get(const std::string& name) const {
     return Status::NotFound("region name '" + name + "' is not defined");
   }
   return &sets_[it->second];
+}
+
+uint64_t Instance::NameStamp(const std::string& name) const {
+  auto it = name_to_id_.find(name);
+  return it == name_to_id_.end() ? epoch_ : set_stamps_[it->second];
 }
 
 bool Instance::Has(const std::string& name) const {
@@ -73,13 +82,13 @@ size_t Instance::NumRegions() const {
 void Instance::BindText(std::shared_ptr<const Text> text) {
   text_ = std::move(text);
   word_index_ = std::make_shared<SuffixArrayWordIndex>(text_.get());
-  ++epoch_;  // Selections and word matches now answer differently.
+  content_stamp_ = ++epoch_;  // Selections and word matches now differ.
 }
 
 void Instance::SetSyntheticPattern(const Pattern& p,
                                    RegionSet regions_where_true) {
   synthetic_w_[p.CacheKey()] = std::move(regions_where_true);
-  ++epoch_;
+  content_stamp_ = ++epoch_;
 }
 
 RegionSet Instance::Select(const RegionSet& r, const Pattern& p) const {

@@ -118,19 +118,31 @@ class Instance {
   /// names, and the union of all sets is laminar (disjoint-or-nested).
   Status Validate() const;
 
-  // --- Mutation epoch (cross-query result-cache invalidation) ---
+  // --- Mutation epoch and stamps (cross-query result-cache keys) ---
 
   /// Process-unique identity of this instance's content lineage. A fresh
   /// id is drawn on construction and on Clone(), and moves travel with the
-  /// data — so (id, epoch) pairs never collide across distinct instances
+  /// data — so (id, stamp) pairs never collide across distinct instances
   /// and a shared cache/result_cache.h can key on them safely.
   uint64_t id() const { return id_; }
 
   /// Monotone mutation counter: bumped by every operation that can change
   /// a query answer (AddRegionSet, SetRegionSet, BindText,
-  /// SetSyntheticPattern). Cached results are keyed by (id, epoch), so a
-  /// bump invalidates them without touching the cache.
+  /// SetSyntheticPattern). Each mutation stamps what it changed with the
+  /// new epoch (NameStamp, content_stamp); a cached result is keyed by the
+  /// newest stamp among what its expression reads (CacheKeyer in
+  /// core/eval.h), so a write invalidates only the answers that read it.
+  /// The whole-catalog epoch is the stamp of everything at once, which is
+  /// what the region tree (⊃_d, ⊂_d) reads.
   uint64_t epoch() const { return epoch_; }
+
+  /// The epoch at which `name` was last set (AddRegionSet / SetRegionSet),
+  /// or epoch() when `name` is undefined.
+  uint64_t NameStamp(const std::string& name) const;
+
+  /// The epoch of the last BindText / SetSyntheticPattern (0 if none): the
+  /// stamp of W, which σ and `word` read.
+  uint64_t content_stamp() const { return content_stamp_; }
 
   // --- Global region tree (built on first use, invalidated by mutation) ---
 
@@ -169,10 +181,15 @@ class Instance {
   static uint64_t NextId();
 
   uint64_t id_ = NextId();
+  // Clone() copies the epoch with the stamps: the copied stamps must stay
+  // below every epoch the clone's later writes issue, or a write could give
+  // a name a stamp the clone already keyed an answer by.
   uint64_t epoch_ = 0;
+  uint64_t content_stamp_ = 0;
   std::vector<std::string> names_;
   std::map<std::string, size_t> name_to_id_;
   std::vector<RegionSet> sets_;
+  std::vector<uint64_t> set_stamps_;  // Parallel to sets_.
 
   std::shared_ptr<const Text> text_;
   std::shared_ptr<const WordIndex> word_index_;

@@ -49,6 +49,9 @@ const std::map<std::string, std::string>& BuiltinHelp() {
       {"regal_cache_misses_total", "Result-cache lookups that found nothing."},
       {"regal_cache_inserts_total", "Results published to the result cache."},
       {"regal_cache_evictions_total", "Result-cache entries evicted under pressure."},
+      {"regal_cache_superseded_total",
+       "Result-cache entries dropped, or inserts abandoned, because a result "
+       "for the same instance and expression at a newer stamp replaced them."},
       {"regal_cache_insert_failures_total",
        "Result-cache inserts abandoned (pressure/failpoint)."},
       {"regal_cache_bytes", "Accounted bytes resident in the result cache."},

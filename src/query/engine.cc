@@ -196,12 +196,13 @@ Status QueryEngine::ReloadSnapshot(const std::string& path,
   REGAL_ASSIGN_OR_RETURN(Instance loaded,
                          storage::LoadSnapshotFromFile(path, env));
   // `loaded` was constructed by the decoder, so it carries a fresh
-  // process-unique instance id: result-cache entries keyed to the old
-  // (id, epoch) become unreachable the moment the swap lands, even if the
-  // snapshot's contents are byte-identical to the old catalog. The stale
-  // entries age out of the LRU naturally.
+  // process-unique instance id: every result-cache entry is keyed to the
+  // replaced id and can never hit again, even if the snapshot's contents
+  // are byte-identical to the old catalog. Drop them at the swap; no query
+  // can publish under the old id once the write lock is held.
   std::unique_lock<std::shared_mutex> lock(*catalog_mu_);
   instance_ = std::move(loaded);
+  result_cache_->Clear();
   stats_ = StatsFromInstance(instance_);
   // Views were defined against — and materialized from — the replaced
   // catalog; carrying them across would resurrect pre-reload data.
@@ -478,11 +479,9 @@ bool QueryEngine::IsCacheResident(const PreparedQuery& prepared) {
   if (executed->kind() == OpKind::kName) return true;
   if (!result_cache_enabled_) return false;
   // The same key the evaluator looks up first for the executed root.
-  ExprCanonicalizer canonicalizer;
-  ExprPtr canonical = canonicalizer.Canonical(executed);
-  cache::ResultCache::Key key{instance_.id(), instance_.epoch(),
-                              canonicalizer.Hash(executed)};
-  return result_cache_->Lookup(key, canonical, nullptr) != nullptr;
+  CacheKeyer keyer(&instance_, &materialized_views_);
+  return result_cache_->Lookup(keyer.Key(executed), keyer.Canonical(executed),
+                               nullptr) != nullptr;
 }
 
 Result<QueryAnswer> QueryEngine::Execute(const PreparedQuery& prepared) {

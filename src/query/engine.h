@@ -146,8 +146,9 @@ class QueryEngine {
 
   /// Replaces this engine's catalog with the snapshot at `path` (the
   /// reindex-and-swap workflow). On success the loaded instance carries a
-  /// fresh (id, epoch) identity, so result-cache entries keyed to the
-  /// pre-reload catalog can never serve stale answers; expression and
+  /// fresh instance id, so no result-cache entry keyed to the pre-reload
+  /// catalog could serve it; the swap clears the result cache, whose
+  /// entries were all keyed to the replaced id. Expression and
   /// materialized views are dropped (they were derived from the old
   /// catalog). On failure the engine is untouched. The swap excludes
   /// in-flight queries (catalog write lock), so a query observes either
@@ -317,8 +318,10 @@ class QueryEngine {
   /// results and publishes what it computes, so repeated structural
   /// sub-queries — the paper's assumed access pattern — short-circuit.
   /// Cached and recomputed answers are identical: entries are keyed by the
-  /// instance's mutation epoch and verified against the canonical
-  /// expression, never by fingerprint alone.
+  /// stamps of the names (and, for σ / `word` / ⊃_d / ⊂_d, the text or
+  /// region tree) each answer reads, and verified against the canonical
+  /// expression, never by fingerprint alone. A write invalidates only the
+  /// answers that read what it changed.
   void set_result_cache_enabled(bool enabled) {
     result_cache_enabled_ = enabled;
   }

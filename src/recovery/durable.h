@@ -73,7 +73,7 @@ class DurableStore {
   /// manifest -> snapshot (quarantine + salvage on corruption, never a
   /// refusal unless even salvage finds nothing identifiable) -> WAL replay
   /// past the checkpoint lsn with torn-tail truncation -> writer reopen.
-  /// The recovered instance always carries a fresh (id, epoch), so result
+  /// The recovered instance always carries a fresh instance id, so result
   /// caches keyed to a pre-crash catalog cannot serve stale answers.
   static Result<std::unique_ptr<DurableStore>> Open(storage::Env* env,
                                                     std::string dir,

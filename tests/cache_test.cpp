@@ -1,5 +1,5 @@
 // Cross-query result cache suite (ctest label `cache`): canonical
-// expression fingerprints, the sharded LRU ResultCache, epoch-based
+// expression fingerprints, the sharded LRU ResultCache, stamp-based
 // invalidation, governance interplay and concurrent sharing. Built as its
 // own binary so a TSAN configuration (-DREGAL_SANITIZE=thread) can run just
 // these tests: ctest -L cache.
@@ -17,6 +17,7 @@
 #include "core/instance.h"
 #include "doc/dictionary.h"
 #include "doc/sgml.h"
+#include "obs/metrics.h"
 #include "query/engine.h"
 #include "query/parser.h"
 #include "safety/context.h"
@@ -133,8 +134,8 @@ TEST_F(CanonicalTest, ParsedAndBuiltExpressionsAgree) {
 // ---------------------------------------------------------------------------
 
 ResultCache::Key KeyFor(const ExprPtr& e, uint64_t instance_id = 1,
-                        uint64_t epoch = 0) {
-  return ResultCache::Key{instance_id, epoch, e->CanonicalHash()};
+                        uint64_t stamp = 0) {
+  return ResultCache::Key{instance_id, stamp, e->CanonicalHash()};
 }
 
 TEST_F(CacheTest, InsertThenLookupHits) {
@@ -162,10 +163,10 @@ TEST_F(CacheTest, WrongEpochOrInstanceMisses) {
   ResultCache cache;
   ExprPtr e = Expr::Canonicalize(Expr::Intersect(Expr::Name("a"), Expr::Name("b")));
   auto value = std::make_shared<const RegionSet>(MakeSet({{1, 2}}));
-  ASSERT_TRUE(cache.Insert(KeyFor(e, /*instance_id=*/1, /*epoch=*/3), e, value));
+  ASSERT_TRUE(cache.Insert(KeyFor(e, /*instance_id=*/1, /*stamp=*/3), e, value));
 
   CacheQueryStats stats;
-  EXPECT_EQ(cache.Lookup(KeyFor(e, 1, 4), e, &stats), nullptr);  // newer epoch
+  EXPECT_EQ(cache.Lookup(KeyFor(e, 1, 4), e, &stats), nullptr);  // newer stamp
   EXPECT_EQ(cache.Lookup(KeyFor(e, 2, 3), e, &stats), nullptr);  // other catalog
   EXPECT_EQ(stats.misses, 2);
   EXPECT_NE(cache.Lookup(KeyFor(e, 1, 3), e, &stats), nullptr);
@@ -255,8 +256,56 @@ TEST_F(CacheTest, ClearDropsEverything) {
   EXPECT_EQ(cache.Lookup(KeyFor(e), e), nullptr);
 }
 
+int64_t SupersededTotal() {
+  return obs::Registry::Default()
+      .GetCounter("regal_cache_superseded_total")
+      ->value();
+}
+
+TEST_F(CacheTest, NewerStampSupersedesTheOlderEntry) {
+  ResultCache cache;
+  ExprPtr e = Expr::Canonicalize(Expr::Union(Expr::Name("a"), Expr::Name("b")));
+  auto old_value = std::make_shared<const RegionSet>(MakeSet({{1, 2}}));
+  auto new_value =
+      std::make_shared<const RegionSet>(MakeSet({{1, 2}, {5, 6}, {7, 8}}));
+  ASSERT_TRUE(cache.Insert(KeyFor(e, 1, /*stamp=*/3), e, old_value));
+  // Another instance's entry for the same expression is not superseded.
+  ASSERT_TRUE(cache.Insert(KeyFor(e, 2, /*stamp=*/1), e, old_value));
+  const int64_t superseded = SupersededTotal();
+
+  CacheQueryStats stats;
+  ASSERT_TRUE(cache.Insert(KeyFor(e, 1, /*stamp=*/5), e, new_value, &stats));
+  EXPECT_EQ(SupersededTotal(), superseded + 1);
+  EXPECT_EQ(stats.evictions, 0);  // Superseding is not pressure.
+  EXPECT_EQ(cache.entries(), 2);
+  EXPECT_EQ(cache.bytes(), ResultCache::EntryBytes(*new_value) +
+                               ResultCache::EntryBytes(*old_value));
+  EXPECT_EQ(cache.Lookup(KeyFor(e, 1, 3), e), nullptr);
+  EXPECT_EQ(cache.Lookup(KeyFor(e, 1, 5), e), new_value);
+  EXPECT_EQ(cache.Lookup(KeyFor(e, 2, 1), e), old_value);
+}
+
+TEST_F(CacheTest, InsertOlderThanItsIncumbentIsAbandoned) {
+  ResultCache cache;
+  ExprPtr e =
+      Expr::Canonicalize(Expr::Intersect(Expr::Name("a"), Expr::Name("b")));
+  auto newer = std::make_shared<const RegionSet>(MakeSet({{3, 4}}));
+  auto older = std::make_shared<const RegionSet>(MakeSet({{1, 2}}));
+  ASSERT_TRUE(cache.Insert(KeyFor(e, 1, /*stamp=*/7), e, newer));
+  const int64_t superseded = SupersededTotal();
+
+  CacheQueryStats stats;
+  EXPECT_FALSE(cache.Insert(KeyFor(e, 1, /*stamp=*/6), e, older, &stats));
+  EXPECT_EQ(SupersededTotal(), superseded + 1);
+  EXPECT_EQ(stats.inserts, 0);
+  EXPECT_EQ(stats.insert_failures, 0);
+  EXPECT_EQ(cache.entries(), 1);
+  EXPECT_EQ(cache.Lookup(KeyFor(e, 1, 7), e), newer);
+  EXPECT_EQ(cache.Lookup(KeyFor(e, 1, 6), e), nullptr);
+}
+
 // ---------------------------------------------------------------------------
-// Evaluator integration: seeding, publication, epoch invalidation
+// Evaluator integration: seeding, publication, stamp invalidation
 // ---------------------------------------------------------------------------
 
 TEST_F(CacheTest, WarmEvaluationSkipsOperatorWork) {
@@ -334,6 +383,82 @@ TEST_F(CacheTest, MutationInvalidatesByEpochBump) {
   // {60,69} intersects b's {60,69}, not the old a's regions.
   EXPECT_EQ(after->size(), 1u);
   EXPECT_NE(*after, *before);
+}
+
+// Whether the root of `query` is resident, by the evaluator's own key.
+bool RootResident(ResultCache& cache, const Instance& instance,
+                  const std::string& query) {
+  ExprPtr e = *ParseQuery(query);
+  CacheKeyer keyer(&instance);
+  return cache.Lookup(keyer.Key(e), keyer.Canonical(e)) != nullptr;
+}
+
+TEST_F(CacheTest, WriteInvalidatesOnlyTheAnswersThatReadIt) {
+  Instance instance = SmallInstance();
+  instance.SetRegionSet("d", MakeSet({{100, 109}}));
+  instance.SetSyntheticPattern(*Pattern::Parse("x"), MakeSet({{0, 9}}));
+  ResultCache cache;
+  const std::vector<std::string> queries = {"a & b", "a matching \"x\"",
+                                            "c dwithin a", "a - c"};
+  auto warm = [&] {
+    EvalOptions options;
+    options.result_cache = &cache;
+    for (const std::string& q : queries) {
+      Evaluator evaluator(&instance, options);
+      ASSERT_TRUE(evaluator.Evaluate(*ParseQuery(q)).ok()) << q;
+    }
+  };
+  warm();
+
+  // `d` is read by none of them, but the region tree holds it.
+  instance.SetRegionSet("d", MakeSet({{110, 119}}));
+  EXPECT_TRUE(RootResident(cache, instance, "a & b"));
+  EXPECT_TRUE(RootResident(cache, instance, "a matching \"x\""));
+  EXPECT_FALSE(RootResident(cache, instance, "c dwithin a"));
+  EXPECT_TRUE(RootResident(cache, instance, "a - c"));
+  warm();
+
+  // W changes σ's answers only.
+  instance.SetSyntheticPattern(*Pattern::Parse("x"), MakeSet({{20, 29}}));
+  EXPECT_TRUE(RootResident(cache, instance, "a & b"));
+  EXPECT_FALSE(RootResident(cache, instance, "a matching \"x\""));
+  EXPECT_TRUE(RootResident(cache, instance, "a - c"));
+  warm();
+
+  // A write to `c` reaches exactly the answers that read `c`.
+  instance.SetRegionSet("c", MakeSet({{40, 49}}));
+  EXPECT_TRUE(RootResident(cache, instance, "a & b"));
+  EXPECT_TRUE(RootResident(cache, instance, "a matching \"x\""));
+  EXPECT_FALSE(RootResident(cache, instance, "c dwithin a"));
+  EXPECT_FALSE(RootResident(cache, instance, "a - c"));
+  warm();
+  // Each expression keeps one entry: the writes superseded the rest.
+  EXPECT_EQ(cache.entries(), static_cast<int64_t>(queries.size()));
+}
+
+TEST_F(CacheTest, CloneCarriesItsStampsPastTheSourceEpoch) {
+  Instance instance = SmallInstance();
+  ResultCache cache;
+  EvalOptions options;
+  options.result_cache = &cache;
+  Instance copy = instance.Clone();
+  EXPECT_NE(copy.id(), instance.id());
+  EXPECT_EQ(copy.epoch(), instance.epoch());
+  EXPECT_EQ(copy.NameStamp("c"), instance.NameStamp("c"));
+
+  Evaluator first(&copy, options);
+  ASSERT_TRUE(first.Evaluate(*ParseQuery("a | c")).ok());
+  // `a` was set before `c`; a write to it must still outrank c's stamp.
+  copy.SetRegionSet("a", MakeSet({{60, 69}}));
+  EXPECT_GT(copy.NameStamp("a"), instance.NameStamp("c"));
+  EXPECT_FALSE(RootResident(cache, copy, "a | c"));
+  CacheQueryStats stats;
+  options.cache_stats = &stats;
+  Evaluator second(&copy, options);
+  auto after = second.Evaluate(*ParseQuery("a | c"));
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, MakeSet({{20, 29}, {60, 69}}));
+  EXPECT_EQ(stats.hits, 0);
 }
 
 TEST_F(CacheTest, NaiveOracleStaysPure) {
@@ -502,6 +627,27 @@ TEST_F(CacheTest, CancelledQueryPublishesNothing) {
   EXPECT_EQ(engine->result_cache().entries(), 0);
 }
 
+TEST_F(CacheTest, ReloadSnapshotClearsTheResultCache) {
+  auto engine = DictionaryEngine();
+  ASSERT_TRUE(engine.ok());
+  const std::string path = testing::TempDir() + "/cache_reload.regal2";
+  ASSERT_TRUE(engine->SaveSnapshot(path).ok());
+  const std::string query = "sense within entry";
+  auto before = engine->Run(query);
+  ASSERT_TRUE(before.ok());
+  ASSERT_GT(engine->result_cache().bytes(), 0);
+
+  ASSERT_TRUE(engine->ReloadSnapshot(path).ok());
+  EXPECT_EQ(engine->result_cache().bytes(), 0);
+  EXPECT_EQ(engine->result_cache().entries(), 0);
+  auto after = engine->Run("explain analyze " + query);
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(after->regions, before->regions);
+  ASSERT_TRUE(after->profile.has_value());
+  EXPECT_EQ(after->profile->cache.hits, 0);
+  EXPECT_GT(after->profile->cache.inserts, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Concurrency: one cache shared by parallel readers and writers
 // ---------------------------------------------------------------------------
@@ -549,10 +695,9 @@ TEST_F(CacheTest, ConcurrentEvaluatorsShareOneCache) {
   // across spellings; inner nodes like `a | b` vs `c | a` stay distinct).
   EXPECT_LE(cache.entries(), 8);
   CacheQueryStats stats;
-  ExprPtr canon = Expr::Canonicalize(*ParseQuery("(a & b) | (a & c)"));
-  EXPECT_NE(cache.Lookup(ResultCache::Key{instance.id(), instance.epoch(),
-                                          canon->CanonicalHash()},
-                         canon, &stats),
+  ExprPtr query = *ParseQuery("(a & b) | (a & c)");
+  CacheKeyer keyer(&instance);
+  EXPECT_NE(cache.Lookup(keyer.Key(query), keyer.Canonical(query), &stats),
             nullptr);
 }
 

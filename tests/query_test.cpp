@@ -318,6 +318,39 @@ TEST_F(ExplainTest, ExplainDoesNotExecute) {
   EXPECT_EQ(answer->profile->Tree().find("ms"), std::string::npos);
 }
 
+// σ and `word` nodes name their pattern as the query spells it, wildcards
+// and the case-insensitive `~` included, so that exact, prefix, infix and
+// case-insensitive selections read apart in both kinds of plan.
+TEST_F(ExplainTest, PatternNodesRenderAsTheQuerySpellsThem) {
+  QueryEngine engine = MakeDictionaryEngine();
+  const struct {
+    const char* query;
+    const char* name;
+    const char* detail;
+  } cases[] = {
+      {"word \"term1\"", "word", "\"term1\""},
+      {"word \"term1*\"", "word", "\"term1*\""},
+      {"def matching \"*e*\"", "matching", "\"*e*\""},
+      {"word ~\"Term1\"", "word", "~\"Term1\""},
+      {"def matching ~\"*E\"", "matching", "~\"*E\""},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.query);
+    for (const std::string verb : {"explain ", "explain analyze "}) {
+      auto answer = engine.Run(verb + c.query, /*optimize=*/false);
+      ASSERT_TRUE(answer.ok()) << answer.status();
+      ASSERT_TRUE(answer->profile.has_value());
+      const obs::Span& root = answer->profile->plan;
+      EXPECT_EQ(root.name, c.name);
+      EXPECT_EQ(root.detail, c.detail);
+      EXPECT_NE(answer->profile->Tree().find(std::string(c.name) + " " +
+                                             c.detail),
+                std::string::npos)
+          << answer->profile->Tree();
+    }
+  }
+}
+
 TEST_F(ExplainTest, ExplainAnalyzeMarksMemoizedSubtrees) {
   QueryEngine engine = MakeDictionaryEngine();
   // Per-call memoization is under test; the cross-query cache would mark
