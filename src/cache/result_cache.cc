@@ -12,7 +12,8 @@ namespace {
 
 // Bookkeeping estimate per entry: LRU node, index slot, key, and the
 // canonical expression skeleton. Deliberately coarse — the payload
-// (regions) dominates for every entry worth caching.
+// (regions) dominates for every entry worth caching. The HELP text of
+// regal_cache_bytes (obs/prometheus.cc) states this value.
 constexpr int64_t kEntryOverheadBytes = 256;
 
 size_t RoundUpPowerOfTwo(size_t n) {
@@ -49,7 +50,7 @@ void ResultCache::PublishHitRatio() const {
 }
 
 int64_t ResultCache::EntryBytes(const RegionSet& value) {
-  return static_cast<int64_t>(value.size() * sizeof(Region)) +
+  return static_cast<int64_t>(value.regions().capacity() * sizeof(Region)) +
          kEntryOverheadBytes;
 }
 
@@ -60,9 +61,9 @@ bool ResultCache::SameExprLocked(const Entry& entry, const Key& key,
          entry.canonical->Equals(*canonical);
 }
 
-std::shared_ptr<const RegionSet> ResultCache::Lookup(const Key& key,
-                                                     const ExprPtr& canonical,
-                                                     CacheQueryStats* stats) {
+std::optional<RegionSet> ResultCache::Lookup(const Key& key,
+                                             const ExprPtr& canonical,
+                                             CacheQueryStats* stats) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto [lo, hi] = shard.index.equal_range(key.fingerprint);
@@ -79,7 +80,7 @@ std::shared_ptr<const RegionSet> ResultCache::Lookup(const Key& key,
   misses_->Increment();
   PublishHitRatio();
   if (stats != nullptr) ++stats->misses;
-  return nullptr;
+  return std::nullopt;
 }
 
 void ResultCache::EraseLocked(Shard& shard, std::list<Entry>::iterator it) {
@@ -95,9 +96,8 @@ void ResultCache::EraseLocked(Shard& shard, std::list<Entry>::iterator it) {
 }
 
 bool ResultCache::Insert(const Key& key, const ExprPtr& canonical,
-                         std::shared_ptr<const RegionSet> value,
-                         CacheQueryStats* stats) {
-  const int64_t entry_bytes = EntryBytes(*value);
+                         RegionSet value, CacheQueryStats* stats) {
+  const int64_t entry_bytes = EntryBytes(value);
   if (entry_bytes > shard_max_bytes_) {
     insert_failures_->Increment();
     if (stats != nullptr) ++stats->insert_failures;

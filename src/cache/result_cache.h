@@ -3,8 +3,8 @@
 
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -18,9 +18,9 @@ namespace cache {
 /// Sizing knobs for a ResultCache. Defaults suit one mid-sized catalog; the
 /// engine exposes the cache so deployments can tune it.
 struct ResultCacheOptions {
-  /// Total byte budget across all shards (region payloads plus a fixed
-  /// per-entry overhead estimate). Split evenly; each shard evicts LRU-first
-  /// to stay under its slice.
+  /// Total byte budget across all shards (the allocated region payloads
+  /// plus a fixed per-entry overhead estimate, see EntryBytes). Split
+  /// evenly; each shard evicts LRU-first to stay under its slice.
   int64_t max_bytes = int64_t{64} << 20;
   /// Number of independently locked shards, rounded up to a power of two.
   /// Entries land on shards by fingerprint, so concurrent queries touching
@@ -39,7 +39,10 @@ struct CacheQueryStats {
 };
 
 /// A byte-accounted, sharded LRU cache of materialized query results,
-/// shared across queries. Keys are (instance id, stamp, canonical
+/// shared across queries. An entry holds a RegionSet handle, so it pins
+/// exactly the result's payload: a hit hands out another handle to it, and
+/// the evaluator's memo and the query answer share the cached regions
+/// instead of copying them. Keys are (instance id, stamp, canonical
 /// expression fingerprint), built by CacheKeyer (core/eval.h): the stamp is
 /// the newest mutation epoch among the state the expression reads, so a
 /// write changes the keys of exactly the answers that read what it wrote.
@@ -78,12 +81,12 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// The cached result for `key`, or nullptr. `canonical` must be the
-  /// canonical form whose fingerprint is key.fingerprint; it disambiguates
-  /// fingerprint collisions. A hit refreshes the entry's LRU position.
-  std::shared_ptr<const RegionSet> Lookup(const Key& key,
-                                          const ExprPtr& canonical,
-                                          CacheQueryStats* stats = nullptr);
+  /// The cached result for `key` (sharing the entry's payload), or nullopt.
+  /// `canonical` must be the canonical form whose fingerprint is
+  /// key.fingerprint; it disambiguates fingerprint collisions. A hit
+  /// refreshes the entry's LRU position.
+  std::optional<RegionSet> Lookup(const Key& key, const ExprPtr& canonical,
+                                  CacheQueryStats* stats = nullptr);
 
   /// Publishes `value` under `key`, first dropping an entry for the same
   /// instance and canonical form with an older stamp, then evicting LRU
@@ -91,8 +94,7 @@ class ResultCache {
   /// alone exceeds the shard budget, the eviction failpoint fired, an equal
   /// entry already exists (another query won the race; not counted as a
   /// failure), or one with a newer stamp does (counted as superseded).
-  bool Insert(const Key& key, const ExprPtr& canonical,
-              std::shared_ptr<const RegionSet> value,
+  bool Insert(const Key& key, const ExprPtr& canonical, RegionSet value,
               CacheQueryStats* stats = nullptr);
 
   /// Drops every entry (tests, and the engine when ReloadSnapshot replaces
@@ -103,7 +105,8 @@ class ResultCache {
   int64_t entries() const;  // Current entry count.
   int64_t max_bytes() const { return options_.max_bytes; }
 
-  /// Accounted footprint of one entry: the region payload plus a fixed
+  /// Accounted footprint of one entry: the payload's allocated regions
+  /// (capacity, so slack could never sit outside the budget) plus a fixed
   /// estimate for the canonical expression and bookkeeping.
   static int64_t EntryBytes(const RegionSet& value);
 
@@ -111,7 +114,7 @@ class ResultCache {
   struct Entry {
     Key key;
     ExprPtr canonical;
-    std::shared_ptr<const RegionSet> value;
+    RegionSet value;
     int64_t bytes = 0;
   };
   struct Shard {

@@ -32,7 +32,10 @@ void ReportCounters(int64_t comparisons, int64_t merge_steps,
 // The set operations and the structural semi-joins run the span kernels of
 // core/algebra_kernels.h over the full operands; the parallel layer
 // (exec/parallel_algebra.cc) runs the same kernels per contiguous chunk,
-// which keeps the two paths bit-identical.
+// which keeps the two paths bit-identical. The semi-joins and ordering
+// joins size their output exactly; ∪ and − reserve the size they have when
+// no region cancels (|R| + |S|, |R|), and ∩ grows, so RegionSet copies only
+// an output that came out smaller than its buffer.
 RegionSet Union(const RegionSet& r, const RegionSet& s) {
   std::vector<Region> out;
   out.reserve(r.size() + s.size());
@@ -56,6 +59,7 @@ RegionSet Intersect(const RegionSet& r, const RegionSet& s) {
 
 RegionSet Difference(const RegionSet& r, const RegionSet& s) {
   std::vector<Region> out;
+  out.reserve(r.size());
   obs::OpCounters c;
   kernels::DifferenceSpan(r.regions().data(), r.regions().data() + r.size(),
                           s.regions().data(), s.regions().data() + s.size(),

@@ -9,6 +9,7 @@
 #include "core/algebra_kernels.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "core/simd/simd_kernels.h"
 #include "obs/metrics.h"
@@ -77,10 +78,32 @@ Offset MinRightEndpoint(const Region* b, size_t n) {
   return Active().min_right(b, n);
 }
 
+void AppendKept(const Region* b, const uint8_t* keep, size_t kept,
+                std::vector<Region>* out) {
+  const size_t base = out->size();
+  out->reserve(base + kept);
+  out->resize(base + kept);
+  Region* d = out->data() + base;
+  Region* const stop = d + kept;
+  // Branch-free: every store lands below `stop`, which the last keeper
+  // reaches.
+  for (size_t i = 0; d != stop; ++i) {
+    *d = b[i];
+    d += keep[i];
+  }
+}
+
+void AppendReversed(const std::vector<Region>& reversed,
+                    std::vector<Region>* out) {
+  out->reserve(out->size() + reversed.size());
+  out->insert(out->end(), reversed.rbegin(), reversed.rend());
+}
+
 void IncludingSpan(const Region* rb, const Region* re, const Region* sb,
                    const Region* se, int64_t min_right_beyond,
                    std::vector<Region>* out) {
-  const size_t base = out->size();
+  std::vector<Region> reversed;
+  reversed.reserve(static_cast<size_t>(re - rb));
   int64_t min_right = min_right_beyond;
   size_t j = static_cast<size_t>(se - sb);
   for (size_t i = static_cast<size_t>(re - rb); i-- > 0;) {
@@ -92,35 +115,42 @@ void IncludingSpan(const Region* rb, const Region* re, const Region* sb,
     // right; an equal left needs a strictly smaller right.
     if (min_right <= x.right ||
         (j > 0 && sb[j - 1].left == x.left && sb[j - 1].right < x.right)) {
-      out->push_back(x);
+      reversed.push_back(x);
     }
   }
-  std::reverse(out->begin() + static_cast<ptrdiff_t>(base), out->end());
+  AppendReversed(reversed, out);
 }
 
 void IncludedSpan(const Region* rb, const Region* re, const Region* sb,
                   const Region* se, int64_t max_right_before,
                   std::vector<Region>* out) {
+  const size_t n = static_cast<size_t>(re - rb);
+  std::unique_ptr<uint8_t[]> keep(new uint8_t[n]);
+  size_t kept = 0;
   int64_t max_right = max_right_before;
   const size_t m = static_cast<size_t>(se - sb);
   size_t j = 0;
-  for (const Region* x = rb; x != re; ++x) {
-    for (; j < m && sb[j].left < x->left; ++j) {
+  for (size_t i = 0; i < n; ++i) {
+    const Region& x = rb[i];
+    for (; j < m && sb[j].left < x.left; ++j) {
       max_right = std::max<int64_t>(max_right, sb[j].right);
     }
     // sb[j], if any, opens S's group at x.left and has its largest right;
     // an equal left needs a strictly larger right.
-    if (max_right >= x->right ||
-        (j < m && sb[j].left == x->left && sb[j].right > x->right)) {
-      out->push_back(*x);
-    }
+    const bool witnessed =
+        max_right >= x.right ||
+        (j < m && sb[j].left == x.left && sb[j].right > x.right);
+    keep[i] = witnessed;
+    kept += witnessed;
   }
+  AppendKept(rb, keep.get(), kept, out);
 }
 
 void SelectSpan(const Region* rb, const Region* re, const Token* tb,
                 const Token* te, int64_t min_right_beyond,
                 std::vector<Region>* out) {
-  const size_t base = out->size();
+  std::vector<Region> reversed;
+  reversed.reserve(static_cast<size_t>(re - rb));
   int64_t min_right = min_right_beyond;
   size_t j = static_cast<size_t>(te - tb);
   for (size_t i = static_cast<size_t>(re - rb); i-- > 0;) {
@@ -128,9 +158,9 @@ void SelectSpan(const Region* rb, const Region* re, const Token* tb,
     for (; j > 0 && tb[j - 1].left >= x.left; --j) {
       min_right = std::min<int64_t>(min_right, tb[j - 1].right);
     }
-    if (min_right <= x.right) out->push_back(x);
+    if (min_right <= x.right) reversed.push_back(x);
   }
-  std::reverse(out->begin() + static_cast<ptrdiff_t>(base), out->end());
+  AppendReversed(reversed, out);
 }
 
 void FlushCounters(const obs::OpCounters& counters) {

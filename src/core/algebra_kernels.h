@@ -24,6 +24,11 @@ namespace kernels {
 /// thread-local obs sink — chunks run on pool workers, and the coordinating
 /// thread flushes the summed counters once via FlushCounters).
 ///
+/// The filters and sweeps below find the regions they keep before they
+/// store any, and grow `out` once by exactly that many, so an output that
+/// starts empty ends with capacity() == size() and becomes a RegionSet
+/// payload without a shrinking copy.
+///
 /// When one side is at least kGallopRatio times longer than the other, the
 /// merges switch to galloping (exponential search + bulk append) so skewed
 /// set operations cost O(small * log(large)) instead of O(small + large).
@@ -59,8 +64,8 @@ const Region* GallopLowerBound(const Region* first, const Region* last,
 
 /// Order-preserving endpoint filters behind the ordering joins: append to
 /// `out` every x in [b, b+n) with x.right < bound (FilterRightBefore), resp.
-/// x.left > bound (FilterLeftAfter). No counter tallying — the join
-/// operators charge analytically per element scanned.
+/// x.left > bound (FilterLeftAfter), counting them first. No counter
+/// tallying — the join operators charge analytically per element scanned.
 void FilterRightBefore(const Region* b, size_t n, Offset bound,
                        std::vector<Region>* out);
 void FilterLeftAfter(const Region* b, size_t n, Offset bound,
@@ -71,11 +76,12 @@ Offset MinRightEndpoint(const Region* b, size_t n);
 
 /// Sweeps behind the structural semi-joins ⊃, ⊂ and σ, in O(|R span| +
 /// |S span|). Plain scalar loops: no KernelTable entry, no dispatch count,
-/// no counter tallying (the operators charge by operand size). Each appends
-/// to `out`, in document order, the x in [rb, re) that have a witness in the
-/// right operand. Running extremes are int64_t, and kEmptyMin / kEmptyMax
-/// stand for "no region yet", so an empty set never matches a region ending
-/// at the largest Offset.
+/// no counter tallying (the operators charge by operand size). Each finds
+/// the x in [rb, re) that have a witness in the right operand, then appends
+/// them to `out` in document order (AppendReversed, AppendKept). Running
+/// extremes are int64_t, and kEmptyMin / kEmptyMax stand for "no region
+/// yet", so an empty set never matches a region ending at the largest
+/// Offset.
 inline constexpr int64_t kEmptyMin = INT64_MAX;
 inline constexpr int64_t kEmptyMax = INT64_MIN;
 
@@ -106,6 +112,18 @@ void IncludedSpan(const Region* rb, const Region* re, const Region* sb,
 void SelectSpan(const Region* rb, const Region* re, const Token* tb,
                 const Token* te, int64_t min_right_beyond,
                 std::vector<Region>* out);
+
+/// Appends to `out` the b[i] whose keep[i] is 1 (each keep[i] is 0 or 1),
+/// growing it by exactly `kept`, their number: the store half of a forward
+/// sweep.
+void AppendKept(const Region* b, const uint8_t* keep, size_t kept,
+                std::vector<Region>* out);
+
+/// Appends `reversed` to `out` last-first, growing `out` by exactly its
+/// size: the store half of a backward sweep, which collects its keepers in
+/// reverse document order.
+void AppendReversed(const std::vector<Region>& reversed,
+                    std::vector<Region>* out);
 
 /// Adds `counters` to the calling thread's obs sink, if one is installed —
 /// the flush half of the tally-locally/flush-once discipline of

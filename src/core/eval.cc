@@ -13,18 +13,6 @@ namespace regal {
 
 namespace {
 
-/// Non-owning view of a set owned by the instance or the bindings map (both
-/// outlive the evaluation): the aliasing constructor with an empty owner
-/// yields a shared_ptr that never copies or frees the set.
-std::shared_ptr<const RegionSet> Borrow(const RegionSet* set) {
-  return std::shared_ptr<const RegionSet>(std::shared_ptr<const RegionSet>(),
-                                          set);
-}
-
-std::shared_ptr<const RegionSet> Adopt(RegionSet set) {
-  return std::make_shared<const RegionSet>(std::move(set));
-}
-
 bool IsLeaf(const Expr& e) {
   return e.kind() == OpKind::kName || e.kind() == OpKind::kWordMatch;
 }
@@ -103,7 +91,7 @@ Result<RegionSet> Evaluator::Evaluate(const ExprPtr& e) {
     std::lock_guard<std::mutex> lock(key_mu_);
     keyer_.emplace(instance_, options_.bindings);
   }
-  REGAL_ASSIGN_OR_RETURN(SharedSet result, Eval(e));
+  REGAL_ASSIGN_OR_RETURN(RegionSet result, Eval(e));
   // A partitioned kernel whose chunks saw ShouldAbort() bails and leaves a
   // truncated set; under the ROOT operator there is no later operator
   // boundary to surface the violation. Abort conditions are monotone, so
@@ -112,7 +100,7 @@ Result<RegionSet> Evaluator::Evaluate(const ExprPtr& e) {
   if (options_.context != nullptr) {
     REGAL_RETURN_NOT_OK(options_.context->Check());
   }
-  return *result;
+  return result;
 }
 
 bool Evaluator::SubtreeParallelismEnabled() const {
@@ -123,7 +111,7 @@ bool Evaluator::SubtreeParallelismEnabled() const {
          options_.tracer == nullptr;
 }
 
-Result<Evaluator::SharedSet> Evaluator::Eval(const ExprPtr& e) {
+Result<RegionSet> Evaluator::Eval(const ExprPtr& e) {
   obs::SpanScope span(options_.tracer, ExprSpanName(*e),
                       options_.tracer != nullptr ? ExprSpanDetail(*e) : "");
   {
@@ -134,16 +122,16 @@ Result<Evaluator::SharedSet> Evaluator::Eval(const ExprPtr& e) {
       memo_cv_.wait(lock, [&] { return entry.ready; });
       if (!entry.status.ok()) return entry.status;
       span.MarkCached();
-      span.SetRows(0, static_cast<int64_t>(entry.value->size()));
+      span.SetRows(0, static_cast<int64_t>(entry.value.size()));
       return entry.value;
     }
     memo_.emplace(e.get(), MemoEntry{});  // Claim the slot; others wait.
   }
 
   // Cross-query cache probe (first arrival only — the memo guarantees one
-  // probe per node per query). Name scans are borrowed from the instance
-  // for free and the naive oracle must stay a pure re-execution, so
-  // neither participates.
+  // probe per node per query). Name scans share the instance's set for free
+  // and the naive oracle must stay a pure re-execution, so neither
+  // participates.
   const bool cacheable = options_.result_cache != nullptr &&
                          !options_.use_naive && e->kind() != OpKind::kName;
   cache::ResultCache::Key cache_key;
@@ -154,13 +142,13 @@ Result<Evaluator::SharedSet> Evaluator::Eval(const ExprPtr& e) {
       canonical = keyer_->Canonical(e);
       cache_key = keyer_->Key(e);
     }
-    std::shared_ptr<const RegionSet> hit = options_.result_cache->Lookup(
+    std::optional<RegionSet> hit = options_.result_cache->Lookup(
         cache_key, canonical, options_.cache_stats);
-    if (hit != nullptr) {
+    if (hit.has_value()) {
       // Seed the memo so every further mention short-circuits, and charge
       // the set against the budget — it is part of this query's live
       // footprint whether computed or recalled.
-      Result<SharedSet> seeded = SharedSet(hit);
+      Result<RegionSet> seeded = *hit;
       if (options_.context != nullptr) {
         Status charged = options_.context->ChargeMemory(
             static_cast<int64_t>(hit->size() * sizeof(Region)));
@@ -186,14 +174,14 @@ Result<Evaluator::SharedSet> Evaluator::Eval(const ExprPtr& e) {
   }
 
   int64_t rows_in = 0;
-  Result<SharedSet> result = EvalNode(e, &rows_in);
-  // Charge materialized results (leaf name scans are borrowed from the
-  // instance, not new memory) so a runaway intermediate trips the budget at
-  // the node that produced it.
+  Result<RegionSet> result = EvalNode(e, &rows_in);
+  // Charge materialized results (leaf name scans share the instance's set,
+  // not new memory) so a runaway intermediate trips the budget at the node
+  // that produced it.
   if (result.ok() && options_.context != nullptr &&
       e->kind() != OpKind::kName) {
     Status charged = options_.context->ChargeMemory(
-        static_cast<int64_t>(result.value()->size() * sizeof(Region)));
+        static_cast<int64_t>(result.value().size() * sizeof(Region)));
     if (!charged.ok()) result = charged;
   }
   {
@@ -201,7 +189,7 @@ Result<Evaluator::SharedSet> Evaluator::Eval(const ExprPtr& e) {
     MemoEntry& entry = memo_[e.get()];
     if (result.ok()) {
       entry.value = result.value();
-      stats_.rows_produced += static_cast<int64_t>(entry.value->size());
+      stats_.rows_produced += static_cast<int64_t>(entry.value.size());
     } else {
       entry.status = result.status();
     }
@@ -209,7 +197,7 @@ Result<Evaluator::SharedSet> Evaluator::Eval(const ExprPtr& e) {
   }
   memo_cv_.notify_all();
   if (result.ok()) {
-    span.SetRows(rows_in, static_cast<int64_t>(result.value()->size()));
+    span.SetRows(rows_in, static_cast<int64_t>(result.value().size()));
     // Publish to the shared cache — but never from a query whose context
     // has tripped: abort conditions are monotone and a partitioned kernel
     // that saw ShouldAbort() mid-chunk leaves a truncated set, which must
@@ -223,11 +211,11 @@ Result<Evaluator::SharedSet> Evaluator::Eval(const ExprPtr& e) {
   return result;
 }
 
-Status Evaluator::EvalChildren(const ExprPtr& e, SharedSet* a, SharedSet* b) {
+Status Evaluator::EvalChildren(const ExprPtr& e, RegionSet* a, RegionSet* b) {
   const ExprPtr& left = e->child(0);
   const ExprPtr& right = e->child(1);
   // Concurrency only pays when both sides have operator work; a leaf child
-  // is a memo/borrow lookup.
+  // is a memo or instance lookup.
   if (SubtreeParallelismEnabled() && !IsLeaf(*left) && !IsLeaf(*right)) {
     // Failpoint: a fault while handing a subtree to the pool must surface
     // as a Status, not a lost task or a stuck Wait().
@@ -235,12 +223,12 @@ Status Evaluator::EvalChildren(const ExprPtr& e, SharedSet* a, SharedSet* b) {
     exec::ThreadPool& pool = options_.parallel->pool != nullptr
                                  ? *options_.parallel->pool
                                  : exec::ThreadPool::Default();
-    std::optional<Result<SharedSet>> left_result;
+    std::optional<Result<RegionSet>> left_result;
     exec::ThreadPool::TaskHandle task =
         pool.Submit([this, &left, &left_result] {
           left_result.emplace(Eval(left));
         });
-    Result<SharedSet> right_result = Eval(right);
+    Result<RegionSet> right_result = Eval(right);
     task.Wait();
     // Prefer the left error so the surfaced diagnostic is deterministic.
     if (!left_result->ok()) return left_result->status();
@@ -254,8 +242,7 @@ Status Evaluator::EvalChildren(const ExprPtr& e, SharedSet* a, SharedSet* b) {
   return Status::OK();
 }
 
-Result<Evaluator::SharedSet> Evaluator::EvalNode(const ExprPtr& e,
-                                                 int64_t* rows_in) {
+Result<RegionSet> Evaluator::EvalNode(const ExprPtr& e, int64_t* rows_in) {
   // Operator-boundary checkpoint: cancellation, deadline and budget are
   // polled once per executed node, bounding the time from a violated limit
   // to a clean non-OK return by one operator's work.
@@ -267,10 +254,10 @@ Result<Evaluator::SharedSet> Evaluator::EvalNode(const ExprPtr& e,
     case OpKind::kName: {
       if (options_.bindings != nullptr) {
         auto it = options_.bindings->find(e->name());
-        if (it != options_.bindings->end()) return Borrow(&it->second);
+        if (it != options_.bindings->end()) return it->second;
       }
       REGAL_ASSIGN_OR_RETURN(const RegionSet* set, instance_->Get(e->name()));
-      return Borrow(set);
+      return *set;
     }
     case OpKind::kWordMatch: {
       if (instance_->word_index() == nullptr) {
@@ -285,11 +272,11 @@ Result<Evaluator::SharedSet> Evaluator::EvalNode(const ExprPtr& e,
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.operator_evals;
       }
-      return Adopt(RegionSet::FromUnsorted(std::move(tokens)));
+      return RegionSet::FromUnsorted(std::move(tokens));
     }
     case OpKind::kSelect: {
-      REGAL_ASSIGN_OR_RETURN(SharedSet child, Eval(e->child(0)));
-      *rows_in = static_cast<int64_t>(child->size());
+      REGAL_ASSIGN_OR_RETURN(RegionSet child, Eval(e->child(0)));
+      *rows_in = static_cast<int64_t>(child.size());
       {
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.operator_evals;
@@ -301,29 +288,27 @@ Result<Evaluator::SharedSet> Evaluator::EvalNode(const ExprPtr& e,
         REGAL_RETURN_NOT_OK(safety::CheckFailpoint("exec.kernel.fault"));
         exec::ParallelConfig cfg{pp->pool, pp->min_rows, 0, options_.context,
                                  options_.kernel_fallbacks};
-        return Adopt(exec::ParallelSelectByTokens(
-            *child, instance_->word_index()->Matches(e->pattern()), cfg));
+        return exec::ParallelSelectByTokens(
+            child, instance_->word_index()->Matches(e->pattern()), cfg);
       }
-      return Adopt(instance_->Select(*child, e->pattern()));
+      return instance_->Select(child, e->pattern());
     }
     case OpKind::kBothIncluded: {
-      REGAL_ASSIGN_OR_RETURN(SharedSet r, Eval(e->child(0)));
-      REGAL_ASSIGN_OR_RETURN(SharedSet s, Eval(e->child(1)));
-      REGAL_ASSIGN_OR_RETURN(SharedSet t, Eval(e->child(2)));
-      *rows_in = static_cast<int64_t>(r->size() + s->size() + t->size());
+      REGAL_ASSIGN_OR_RETURN(RegionSet r, Eval(e->child(0)));
+      REGAL_ASSIGN_OR_RETURN(RegionSet s, Eval(e->child(1)));
+      REGAL_ASSIGN_OR_RETURN(RegionSet t, Eval(e->child(2)));
+      *rows_in = static_cast<int64_t>(r.size() + s.size() + t.size());
       {
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.operator_evals;
         stats_.rows_scanned += *rows_in;
       }
-      return Adopt(options_.use_naive ? naive::BothIncluded(*r, *s, *t)
-                                      : BothIncluded(*r, *s, *t));
+      return options_.use_naive ? naive::BothIncluded(r, s, t)
+                                : BothIncluded(r, s, t);
     }
     default: {
-      SharedSet sa, sb;
-      REGAL_RETURN_NOT_OK(EvalChildren(e, &sa, &sb));
-      const RegionSet& a = *sa;
-      const RegionSet& b = *sb;
+      RegionSet a, b;
+      REGAL_RETURN_NOT_OK(EvalChildren(e, &a, &b));
       *rows_in = static_cast<int64_t>(a.size() + b.size());
       {
         std::lock_guard<std::mutex> lock(mu_);
@@ -338,55 +323,44 @@ Result<Evaluator::SharedSet> Evaluator::EvalNode(const ExprPtr& e,
         cfg = exec::ParallelConfig{pp->pool, pp->min_rows, 0, options_.context,
                                    options_.kernel_fallbacks};
       }
-      RegionSet result;
       switch (e->kind()) {
         case OpKind::kUnion:
-          result = naive_mode ? naive::Union(a, b)
-                   : pp != nullptr ? exec::ParallelUnion(a, b, cfg)
-                                   : Union(a, b);
-          break;
+          return naive_mode ? naive::Union(a, b)
+                 : pp != nullptr ? exec::ParallelUnion(a, b, cfg)
+                                 : Union(a, b);
         case OpKind::kIntersect:
-          result = naive_mode ? naive::Intersect(a, b)
-                   : pp != nullptr ? exec::ParallelIntersect(a, b, cfg)
-                                   : Intersect(a, b);
-          break;
+          return naive_mode ? naive::Intersect(a, b)
+                 : pp != nullptr ? exec::ParallelIntersect(a, b, cfg)
+                                 : Intersect(a, b);
         case OpKind::kDifference:
-          result = naive_mode ? naive::Difference(a, b)
-                   : pp != nullptr ? exec::ParallelDifference(a, b, cfg)
-                                   : Difference(a, b);
-          break;
+          return naive_mode ? naive::Difference(a, b)
+                 : pp != nullptr ? exec::ParallelDifference(a, b, cfg)
+                                 : Difference(a, b);
         case OpKind::kIncluding:
-          result = naive_mode ? naive::Including(a, b)
-                   : pp != nullptr ? exec::ParallelIncluding(a, b, cfg)
-                                   : Including(a, b);
-          break;
+          return naive_mode ? naive::Including(a, b)
+                 : pp != nullptr ? exec::ParallelIncluding(a, b, cfg)
+                                 : Including(a, b);
         case OpKind::kIncluded:
-          result = naive_mode ? naive::Included(a, b)
-                   : pp != nullptr ? exec::ParallelIncluded(a, b, cfg)
-                                   : Included(a, b);
-          break;
+          return naive_mode ? naive::Included(a, b)
+                 : pp != nullptr ? exec::ParallelIncluded(a, b, cfg)
+                                 : Included(a, b);
         case OpKind::kPrecedes:
-          result = naive_mode ? naive::Precedes(a, b)
-                   : pp != nullptr ? exec::ParallelPrecedes(a, b, cfg)
-                                   : Precedes(a, b);
-          break;
+          return naive_mode ? naive::Precedes(a, b)
+                 : pp != nullptr ? exec::ParallelPrecedes(a, b, cfg)
+                                 : Precedes(a, b);
         case OpKind::kFollows:
-          result = naive_mode ? naive::Follows(a, b)
-                   : pp != nullptr ? exec::ParallelFollows(a, b, cfg)
-                                   : Follows(a, b);
-          break;
+          return naive_mode ? naive::Follows(a, b)
+                 : pp != nullptr ? exec::ParallelFollows(a, b, cfg)
+                                 : Follows(a, b);
         case OpKind::kDirectIncluding:
-          result = naive_mode ? naive::DirectIncluding(*instance_, a, b)
-                              : DirectIncluding(*instance_, a, b);
-          break;
+          return naive_mode ? naive::DirectIncluding(*instance_, a, b)
+                            : DirectIncluding(*instance_, a, b);
         case OpKind::kDirectIncluded:
-          result = naive_mode ? naive::DirectIncluded(*instance_, a, b)
-                              : DirectIncluded(*instance_, a, b);
-          break;
+          return naive_mode ? naive::DirectIncluded(*instance_, a, b)
+                            : DirectIncluded(*instance_, a, b);
         default:
           return Status::Internal("unexpected operator kind in Eval");
       }
-      return Adopt(std::move(result));
     }
   }
 }

@@ -134,39 +134,40 @@ struct EvalStats {
 ///
 /// Shared subtrees (the expression is a DAG of shared_ptr nodes) are
 /// evaluated once per Evaluate call via pointer-keyed memoization — the
-/// bounded expansions of Props 5.2/5.4 rely on this. Memoized results are
-/// handed around as shared_ptr<const RegionSet>, so a cache hit (and a leaf
-/// scan of an instance set) never copies region data.
+/// bounded expansions of Props 5.2/5.4 rely on this. A RegionSet is a
+/// handle to a shared payload, so the memo, a name scan of an instance set,
+/// a cache hit and the returned answer all share regions instead of copying
+/// them.
 class Evaluator {
  public:
   explicit Evaluator(const Instance* instance, EvalOptions options = {})
       : instance_(instance), options_(options) {}
 
   /// e(I). Errors if e mentions a region name not defined in the instance.
+  /// The answer shares its payload with the memo (and with the result cache
+  /// or the instance, when the root came from there).
   Result<RegionSet> Evaluate(const ExprPtr& e);
 
   const EvalStats& stats() const { return stats_; }
   void ResetStats() { stats_ = EvalStats(); }
 
  private:
-  using SharedSet = std::shared_ptr<const RegionSet>;
-
   /// Memoizing wrapper: first arrival computes via EvalNode, concurrent
   /// arrivals at the same node block until the result is ready.
-  Result<SharedSet> Eval(const ExprPtr& e);
+  Result<RegionSet> Eval(const ExprPtr& e);
   /// Computes one node (children evaluated via Eval). `rows_in` receives the
   /// sum of operand cardinalities (0 for leaves) for the node's span.
-  Result<SharedSet> EvalNode(const ExprPtr& e, int64_t* rows_in);
+  Result<RegionSet> EvalNode(const ExprPtr& e, int64_t* rows_in);
   /// Evaluates both children of a binary node, concurrently when the policy
   /// allows it.
-  Status EvalChildren(const ExprPtr& e, SharedSet* a, SharedSet* b);
+  Status EvalChildren(const ExprPtr& e, RegionSet* a, RegionSet* b);
   bool SubtreeParallelismEnabled() const;
 
   /// One memo slot per expression node. `ready` flips under mu_ once the
   /// value (or error) is in; waiters sleep on memo_cv_.
   struct MemoEntry {
     bool ready = false;
-    SharedSet value;
+    RegionSet value;
     Status status;
   };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 
 #include "core/algebra.h"
 #include "core/algebra_kernels.h"
@@ -27,14 +28,18 @@ RegionSet DirectIncluding(const Instance& instance, const RegionSet& r,
 RegionSet DirectIncluded(const Instance& instance, const RegionSet& r,
                          const RegionSet& s) {
   const RegionTree& tree = instance.Tree();
-  std::vector<Region> out;
-  for (const Region& x : r) {
-    const int idx = tree.Find(x);
+  std::unique_ptr<uint8_t[]> keep(new uint8_t[r.size()]);
+  size_t kept = 0;
+  for (size_t i = 0; i < r.size(); ++i) {
+    const int idx = tree.Find(r[i]);
     const int p = idx < 0 ? -1 : tree.parents[static_cast<size_t>(idx)];
-    if (p >= 0 && s.Member(tree.regions[static_cast<size_t>(p)])) {
-      out.push_back(x);
-    }
+    const bool direct =
+        p >= 0 && s.Member(tree.regions[static_cast<size_t>(p)]);
+    keep[i] = direct;
+    kept += direct;
   }
+  std::vector<Region> out;
+  kernels::AppendKept(r.regions().data(), keep.get(), kept, &out);
   return RegionSet::FromSortedUnique(std::move(out));
 }
 
@@ -48,7 +53,8 @@ RegionSet DirectIncluded(const Instance& instance, const RegionSet& r,
 // fall, so the T cursor moves one way too.
 RegionSet BothIncluded(const RegionSet& r, const RegionSet& s,
                        const RegionSet& t) {
-  std::vector<Region> out;
+  std::vector<Region> reversed;
+  reversed.reserve(r.size());
   int64_t e = kernels::kEmptyMin;
   int64_t f = kernels::kEmptyMin;
   size_t j = s.size();
@@ -61,9 +67,10 @@ RegionSet BothIncluded(const RegionSet& r, const RegionSet& s,
     for (; k > 0 && t[k - 1].left > e; --k) {
       f = std::min<int64_t>(f, t[k - 1].right);
     }
-    if (e <= x.right && f <= x.right) out.push_back(x);
+    if (e <= x.right && f <= x.right) reversed.push_back(x);
   }
-  std::reverse(out.begin(), out.end());
+  std::vector<Region> out;
+  kernels::AppendReversed(reversed, &out);
   return RegionSet::FromSortedUnique(std::move(out));
 }
 

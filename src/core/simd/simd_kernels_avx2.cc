@@ -1,5 +1,5 @@
 // AVX2 instantiation of the shared kernel body: 4 regions per ymm compare,
-// permutevar8x32 left-packing in the endpoint filters. Per-function target
+// in the merges and in the endpoint filters. Per-function target
 // attributes keep the rest of the binary baseline; util::CpuInfo gates
 // whether these symbols are ever called (including the xgetbv check for OS
 // ymm-state support).

@@ -1,5 +1,5 @@
 // SSE4.2 instantiation of the shared kernel body (pcmpgtq for the 64-bit
-// document-order key compares, pshufb for left-packing filters). Compiled
+// document-order key compares, 2 regions per endpoint-filter compare). Compiled
 // with per-function target attributes, so this TU is safe to link into a
 // binary that must also run on pre-SSE4.2 machines: the dispatcher simply
 // never calls these symbols there.

@@ -63,26 +63,22 @@ std::vector<Region> Concatenate(std::vector<std::vector<Region>>* chunks) {
 using MergeKernel = void (*)(const Region*, const Region*, const Region*,
                              const Region*, std::vector<Region>*,
                              obs::OpCounters*);
+using SequentialOp = RegionSet (*)(const RegionSet&, const RegionSet&);
 
 // Splits R at index boundaries, binary-searches the matching value window of
 // S for every chunk (chunk k owns the endpoint interval
 // [R[cut_k], R[cut_{k+1}})), and runs `kernel` per chunk on the pool. Chunk
 // outputs cover disjoint, increasing endpoint intervals, so concatenation is
-// the full sorted merge.
+// the full sorted merge. One partition runs `sequential`, the operator that
+// runs `kernel` over the whole operands.
 RegionSet PartitionedMerge(const char* op, const RegionSet& r,
                            const RegionSet& s, MergeKernel kernel,
+                           SequentialOp sequential,
                            const ParallelConfig& cfg) {
+  const int parts = PartitionCount(cfg, r.size());
+  if (parts <= 1) return sequential(r, s);
   const Region* rd = r.regions().data();
   const Region* sd = s.regions().data();
-  const int parts = PartitionCount(cfg, r.size());
-  if (parts <= 1) {
-    std::vector<Region> out;
-    out.reserve(r.size() + s.size());
-    obs::OpCounters c;
-    kernel(rd, rd + r.size(), sd, sd + s.size(), &out, &c);
-    kernels::FlushCounters(c);
-    return RegionSet::FromSortedUnique(std::move(out));
-  }
   const size_t np = static_cast<size_t>(parts);
   std::vector<size_t> rcut(np + 1), scut(np + 1);
   RegionDocumentOrder less;
@@ -148,8 +144,7 @@ RegionSet RunChunks(const char* op, const RegionSet& r, size_t np,
 }
 
 // Partitioned endpoint filter of R behind Precedes/Follows: chunk k runs the
-// dispatched left-packing filter kernel over its slice straight into its
-// output vector.
+// dispatched filter kernel over its slice straight into its output vector.
 using FilterKernel = void (*)(const Region*, size_t, Offset,
                               std::vector<Region>*);
 
@@ -242,7 +237,7 @@ RegionSet ParallelUnion(const RegionSet& r, const RegionSet& s,
   // Union is symmetric; partition the longer operand for balance.
   const RegionSet& a = r.size() >= s.size() ? r : s;
   const RegionSet& b = r.size() >= s.size() ? s : r;
-  return PartitionedMerge("union", a, b, &kernels::UnionSpan, cfg);
+  return PartitionedMerge("union", a, b, &kernels::UnionSpan, &Union, cfg);
 }
 
 RegionSet ParallelIntersect(const RegionSet& r, const RegionSet& s,
@@ -251,14 +246,16 @@ RegionSet ParallelIntersect(const RegionSet& r, const RegionSet& s,
   if (DegradeKernel("intersect", cfg)) return Intersect(r, s);
   const RegionSet& a = r.size() >= s.size() ? r : s;
   const RegionSet& b = r.size() >= s.size() ? s : r;
-  return PartitionedMerge("intersect", a, b, &kernels::IntersectSpan, cfg);
+  return PartitionedMerge("intersect", a, b, &kernels::IntersectSpan,
+                          &Intersect, cfg);
 }
 
 RegionSet ParallelDifference(const RegionSet& r, const RegionSet& s,
                              const ParallelConfig& cfg) {
   if (BelowGate(cfg, r.size() + s.size())) return Difference(r, s);
   if (DegradeKernel("difference", cfg)) return Difference(r, s);
-  return PartitionedMerge("difference", r, s, &kernels::DifferenceSpan, cfg);
+  return PartitionedMerge("difference", r, s, &kernels::DifferenceSpan,
+                          &Difference, cfg);
 }
 
 RegionSet ParallelIncluding(const RegionSet& r, const RegionSet& s,

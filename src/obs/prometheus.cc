@@ -54,7 +54,10 @@ const std::map<std::string, std::string>& BuiltinHelp() {
        "for the same instance and expression at a newer stamp replaced them."},
       {"regal_cache_insert_failures_total",
        "Result-cache inserts abandoned (pressure/failpoint)."},
-      {"regal_cache_bytes", "Accounted bytes resident in the result cache."},
+      {"regal_cache_bytes",
+       "Bytes the result cache charges its budget for its resident entries: "
+       "each entry's allocated region payload (capacity x 8 bytes) plus a "
+       "fixed 256-byte estimate for its key, expression and bookkeeping."},
       {"regal_cache_hit_ratio",
        "Lifetime hits / (hits + misses) of the result cache."},
       {"regal_safety_queries_admitted_total",

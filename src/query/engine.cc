@@ -474,26 +474,39 @@ bool QueryEngine::IsCacheResident(const PreparedQuery& prepared) {
   // statements can be answered from warm state.
   if (prepared.verb_ != QueryVerb::kRun) return false;
   const ExprPtr& executed = prepared.answer_.executed;
-  // A raw name scan is borrowed from the index — always warm, never in
-  // the result cache (the evaluator excludes kName on purpose).
+  // A raw name scan shares the instance's set — always warm, never in the
+  // result cache (the evaluator excludes kName on purpose).
   if (executed->kind() == OpKind::kName) return true;
   if (!result_cache_enabled_) return false;
   // The same key the evaluator looks up first for the executed root.
   CacheKeyer keyer(&instance_, &materialized_views_);
-  return result_cache_->Lookup(keyer.Key(executed), keyer.Canonical(executed),
-                               nullptr) != nullptr;
+  return result_cache_
+      ->Lookup(keyer.Key(executed), keyer.Canonical(executed), nullptr)
+      .has_value();
+}
+
+QueryEngine::QueryMetrics QueryEngine::ResolveQueryMetrics() {
+  obs::Registry& registry = obs::Registry::Default();
+  return QueryMetrics{
+      registry.GetGauge("regal_engine_inflight_queries"),
+      registry.GetCounter("regal_queries_total", {{"verb", "run"}}),
+      registry.GetCounter("regal_queries_total", {{"verb", "explain"}}),
+      registry.GetCounter("regal_queries_total",
+                          {{"verb", "explain_analyze"}}),
+      registry.GetCounter("regal_safety_queries_admitted_total"),
+      registry.GetHistogram("regal_query_latency_ms"),
+      registry.GetHistogram("regal_query_peak_memory_bytes", {},
+                            obs::Registry::DefaultSizeBytesBuckets())};
 }
 
 Result<QueryAnswer> QueryEngine::Execute(const PreparedQuery& prepared) {
-  obs::Registry& registry = obs::Registry::Default();
   QueryAnswer answer = prepared.answer_;
   if (prepared.verb_ == QueryVerb::kExplain) {
     // Estimates only: nothing is executed.
     QueryProfile query_profile;
     query_profile.plan = PlanFromExpr(answer.executed, stats_);
     answer.profile = std::move(query_profile);
-    registry.GetCounter("regal_queries_total", {{"verb", "explain"}})
-        ->Increment();
+    metrics_.explain->Increment();
     return answer;
   }
   const bool profile = prepared.verb_ == QueryVerb::kExplainAnalyze;
@@ -507,9 +520,7 @@ Result<QueryAnswer> QueryEngine::Execute(const PreparedQuery& prepared) {
   // estimate skeleton).
   const bool sampled = recorder != nullptr && recorder->ShouldSample(query_id);
   const bool governed = limits.Any();
-  if (governed) {
-    registry.GetCounter("regal_safety_queries_admitted_total")->Increment();
-  }
+  if (governed) metrics_.admitted->Increment();
   std::optional<obs::Tracer> tracer;
   if (profile || sampled) tracer.emplace();
   std::optional<safety::QueryContext> context;
@@ -521,8 +532,7 @@ Result<QueryAnswer> QueryEngine::Execute(const PreparedQuery& prepared) {
   std::atomic<int64_t> kernel_fallbacks{0};
   cache::CacheQueryStats cache_stats;
   Status eval_status = Status::OK();
-  obs::Gauge* inflight = registry.GetGauge("regal_engine_inflight_queries");
-  inflight->Add(1);
+  metrics_.inflight->Add(1);
   {
     ScopedTimer timed(&answer.elapsed_ms);
     EvalOptions eval_options;
@@ -546,7 +556,7 @@ Result<QueryAnswer> QueryEngine::Execute(const PreparedQuery& prepared) {
         // (bit-identical) sequential path instead of failing or stalling.
         degraded = true;
         fallbacks.push_back("pool saturated: sequential evaluation");
-        registry
+        obs::Registry::Default()
             .GetCounter("regal_safety_queries_degraded_total",
                         {{"reason", "pool_saturated"}})
             ->Increment();
@@ -563,7 +573,7 @@ Result<QueryAnswer> QueryEngine::Execute(const PreparedQuery& prepared) {
       eval_status = result.status();
     }
   }
-  inflight->Add(-1);
+  metrics_.inflight->Add(-1);
   const int64_t degraded_kernels =
       kernel_fallbacks.load(std::memory_order_relaxed);
   if (degraded_kernels > 0) {
@@ -618,7 +628,7 @@ Result<QueryAnswer> QueryEngine::Execute(const PreparedQuery& prepared) {
         break;
     }
     if (reason != nullptr) {
-      registry
+      obs::Registry::Default()
           .GetCounter("regal_safety_queries_stopped_total",
                       {{"reason", reason}})
           ->Increment();
@@ -646,15 +656,11 @@ Result<QueryAnswer> QueryEngine::Execute(const PreparedQuery& prepared) {
     answer.profile = std::move(query_profile);
   }
   if (context.has_value()) {
-    registry
-        .GetHistogram("regal_query_peak_memory_bytes", {},
-                      obs::Registry::DefaultSizeBytesBuckets())
-        ->Observe(static_cast<double>(context->peak_memory_bytes()));
+    metrics_.peak_memory_bytes->Observe(
+        static_cast<double>(context->peak_memory_bytes()));
   }
-  registry.GetCounter("regal_queries_total",
-                      {{"verb", profile ? "explain_analyze" : "run"}})
-      ->Increment();
-  registry.GetHistogram("regal_query_latency_ms")->Observe(answer.elapsed_ms);
+  (profile ? metrics_.explain_analyze : metrics_.run)->Increment();
+  metrics_.latency_ms->Observe(answer.elapsed_ms);
   return answer;
 }
 

@@ -12,6 +12,7 @@
 #include "core/instance.h"
 #include "graph/digraph.h"
 #include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "opt/cost.h"
 #include "opt/optimizer.h"
@@ -64,6 +65,10 @@ struct QueryProfile {
 
 /// A materialized query answer plus execution diagnostics.
 struct QueryAnswer {
+  /// Shares its payload with the evaluator's result (and with the result
+  /// cache entry or instance set it came from): an answer copies no
+  /// regions, and stays valid after the cache evicts or a write replaces
+  /// what it was read from.
   RegionSet regions;
   ExprPtr parsed;          // The query as parsed.
   ExprPtr executed;        // After optimization (== parsed if disabled).
@@ -248,10 +253,10 @@ class QueryEngine {
   Result<QueryAnswer> Execute(const PreparedQuery& prepared);
 
   /// True when `prepared` is a plain `run` statement answerable from warm
-  /// state: its executed root is a raw name scan (always free — borrowed
-  /// from the index) or has its canonical key resident in the result cache
-  /// (one lookup). Brownout mode serves only such queries; everything else
-  /// gets a typed kOverloaded refusal. Never evaluates anything.
+  /// state: its executed root is a raw name scan (always free — it shares
+  /// the instance's set) or has its canonical key resident in the result
+  /// cache (one lookup). Brownout mode serves only such queries; everything
+  /// else gets a typed kOverloaded refusal. Never evaluates anything.
   bool IsCacheResident(const PreparedQuery& prepared);
 
   /// Runs an already-built expression. `profile` requests span tracing and
@@ -380,6 +385,20 @@ class QueryEngine {
   /// the background checkpointer when running, else checkpoints inline.
   void MaybeCheckpoint();
 
+  /// Registry handles of the metrics every executed query updates,
+  /// resolved once at construction: a Registry::Get* call takes the
+  /// registry's process-wide mutex, a held handle is one atomic update.
+  struct QueryMetrics {
+    obs::Gauge* inflight;
+    obs::Counter* run;
+    obs::Counter* explain;
+    obs::Counter* explain_analyze;
+    obs::Counter* admitted;
+    obs::Histogram* latency_ms;
+    obs::Histogram* peak_memory_bytes;
+  };
+  static QueryMetrics ResolveQueryMetrics();
+
   // Catalog read-write lock: queries / explain / statusz hold it shared,
   // Apply / ReloadSnapshot / view definition hold it exclusive — so no
   // query ever observes a half-replayed or half-swapped catalog. In a
@@ -400,6 +419,7 @@ class QueryEngine {
   bool result_cache_enabled_ = true;
   bool telemetry_enabled_ = true;
   obs::FlightRecorder* recorder_ = nullptr;
+  QueryMetrics metrics_ = ResolveQueryMetrics();
   std::unique_ptr<recovery::DurableStore> durable_;
   std::unique_ptr<Checkpointer> checkpointer_;
 };

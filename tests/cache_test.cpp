@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,11 +19,13 @@
 #include "core/instance.h"
 #include "doc/dictionary.h"
 #include "doc/sgml.h"
+#include "doc/synthetic.h"
 #include "obs/metrics.h"
 #include "query/engine.h"
 #include "query/parser.h"
 #include "safety/context.h"
 #include "safety/failpoint.h"
+#include "util/random.h"
 
 namespace regal {
 namespace {
@@ -133,6 +137,12 @@ TEST_F(CanonicalTest, ParsedAndBuiltExpressionsAgree) {
 // ResultCache unit behavior
 // ---------------------------------------------------------------------------
 
+// The payload a lookup shares, or nullptr on a miss: the same payload as a
+// set handed to Insert means the cache returned that very set, uncopied.
+const Region* Payload(const std::optional<RegionSet>& hit) {
+  return hit.has_value() ? hit->regions().data() : nullptr;
+}
+
 ResultCache::Key KeyFor(const ExprPtr& e, uint64_t instance_id = 1,
                         uint64_t stamp = 0) {
   return ResultCache::Key{instance_id, stamp, e->CanonicalHash()};
@@ -141,35 +151,36 @@ ResultCache::Key KeyFor(const ExprPtr& e, uint64_t instance_id = 1,
 TEST_F(CacheTest, InsertThenLookupHits) {
   ResultCache cache;
   ExprPtr e = Expr::Canonicalize(Expr::Union(Expr::Name("a"), Expr::Name("b")));
-  auto value = std::make_shared<const RegionSet>(MakeSet({{1, 2}, {3, 4}}));
+  RegionSet value = MakeSet({{1, 2}, {3, 4}});
   CacheQueryStats stats;
   EXPECT_TRUE(cache.Insert(KeyFor(e), e, value, &stats));
   EXPECT_EQ(stats.inserts, 1);
   EXPECT_EQ(cache.entries(), 1);
   EXPECT_GT(cache.bytes(), 0);
 
-  auto hit = cache.Lookup(KeyFor(e), e, &stats);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(*hit, *value);
+  std::optional<RegionSet> hit = cache.Lookup(KeyFor(e), e, &stats);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(*hit, value);
   EXPECT_EQ(stats.hits, 1);
 
   // The commuted form reaches the same entry: same canonical fingerprint.
   ExprPtr commuted =
       Expr::Canonicalize(Expr::Union(Expr::Name("b"), Expr::Name("a")));
-  EXPECT_NE(cache.Lookup(KeyFor(commuted), commuted, &stats), nullptr);
+  EXPECT_TRUE(cache.Lookup(KeyFor(commuted), commuted, &stats).has_value());
 }
 
 TEST_F(CacheTest, WrongEpochOrInstanceMisses) {
   ResultCache cache;
   ExprPtr e = Expr::Canonicalize(Expr::Intersect(Expr::Name("a"), Expr::Name("b")));
-  auto value = std::make_shared<const RegionSet>(MakeSet({{1, 2}}));
+  RegionSet value = MakeSet({{1, 2}});
   ASSERT_TRUE(cache.Insert(KeyFor(e, /*instance_id=*/1, /*stamp=*/3), e, value));
 
   CacheQueryStats stats;
-  EXPECT_EQ(cache.Lookup(KeyFor(e, 1, 4), e, &stats), nullptr);  // newer stamp
-  EXPECT_EQ(cache.Lookup(KeyFor(e, 2, 3), e, &stats), nullptr);  // other catalog
+  // A newer stamp, then another catalog.
+  EXPECT_FALSE(cache.Lookup(KeyFor(e, 1, 4), e, &stats).has_value());
+  EXPECT_FALSE(cache.Lookup(KeyFor(e, 2, 3), e, &stats).has_value());
   EXPECT_EQ(stats.misses, 2);
-  EXPECT_NE(cache.Lookup(KeyFor(e, 1, 3), e, &stats), nullptr);
+  EXPECT_TRUE(cache.Lookup(KeyFor(e, 1, 3), e, &stats).has_value());
 }
 
 TEST_F(CacheTest, LruEvictionDropsLeastRecentlyUsed) {
@@ -178,14 +189,14 @@ TEST_F(CacheTest, LruEvictionDropsLeastRecentlyUsed) {
       Expr::Canonicalize(Expr::Intersect(Expr::Name("a"), Expr::Name("b")));
   ExprPtr ec =
       Expr::Canonicalize(Expr::Difference(Expr::Name("a"), Expr::Name("b")));
-  auto va = std::make_shared<const RegionSet>(MakeSet({{1, 2}}));
-  auto vb = std::make_shared<const RegionSet>(MakeSet({{3, 4}}));
-  auto vc = std::make_shared<const RegionSet>(MakeSet({{5, 6}}));
+  RegionSet va = MakeSet({{1, 2}});
+  RegionSet vb = MakeSet({{3, 4}});
+  RegionSet vc = MakeSet({{5, 6}});
 
   // One shard sized for exactly two of these entries.
   ResultCacheOptions options;
   options.shards = 1;
-  options.max_bytes = ResultCache::EntryBytes(*va) + ResultCache::EntryBytes(*vb);
+  options.max_bytes = ResultCache::EntryBytes(va) + ResultCache::EntryBytes(vb);
   ResultCache cache(options);
 
   CacheQueryStats stats;
@@ -194,13 +205,13 @@ TEST_F(CacheTest, LruEvictionDropsLeastRecentlyUsed) {
   EXPECT_EQ(cache.entries(), 2);
 
   // Touch A so B becomes least recently used, then force an eviction.
-  ASSERT_NE(cache.Lookup(KeyFor(ea), ea, &stats), nullptr);
+  ASSERT_TRUE(cache.Lookup(KeyFor(ea), ea, &stats).has_value());
   ASSERT_TRUE(cache.Insert(KeyFor(ec), ec, vc, &stats));
   EXPECT_GE(stats.evictions, 1);
   EXPECT_EQ(cache.entries(), 2);
-  EXPECT_NE(cache.Lookup(KeyFor(ea), ea, &stats), nullptr);  // survived
-  EXPECT_EQ(cache.Lookup(KeyFor(eb), eb, &stats), nullptr);  // evicted
-  EXPECT_NE(cache.Lookup(KeyFor(ec), ec, &stats), nullptr);
+  EXPECT_TRUE(cache.Lookup(KeyFor(ea), ea, &stats).has_value());  // survived
+  EXPECT_FALSE(cache.Lookup(KeyFor(eb), eb, &stats).has_value());  // evicted
+  EXPECT_TRUE(cache.Lookup(KeyFor(ec), ec, &stats).has_value());
   EXPECT_LE(cache.bytes(), options.max_bytes);
 }
 
@@ -210,7 +221,7 @@ TEST_F(CacheTest, OversizedEntryIsRejected) {
   options.max_bytes = 64;  // Smaller than any entry's fixed overhead.
   ResultCache cache(options);
   ExprPtr e = Expr::Canonicalize(Expr::Union(Expr::Name("a"), Expr::Name("b")));
-  auto value = std::make_shared<const RegionSet>(MakeSet({{1, 2}}));
+  RegionSet value = MakeSet({{1, 2}});
   CacheQueryStats stats;
   EXPECT_FALSE(cache.Insert(KeyFor(e), e, value, &stats));
   EXPECT_EQ(stats.insert_failures, 1);
@@ -221,12 +232,12 @@ TEST_F(CacheTest, EvictionPressureFailpointAbandonsInsert) {
   ExprPtr ea = Expr::Canonicalize(Expr::Union(Expr::Name("a"), Expr::Name("b")));
   ExprPtr eb =
       Expr::Canonicalize(Expr::Intersect(Expr::Name("a"), Expr::Name("b")));
-  auto va = std::make_shared<const RegionSet>(MakeSet({{1, 2}}));
-  auto vb = std::make_shared<const RegionSet>(MakeSet({{3, 4}}));
+  RegionSet va = MakeSet({{1, 2}});
+  RegionSet vb = MakeSet({{3, 4}});
 
   ResultCacheOptions options;
   options.shards = 1;
-  options.max_bytes = ResultCache::EntryBytes(*va);
+  options.max_bytes = ResultCache::EntryBytes(va);
   ResultCache cache(options);
   ASSERT_TRUE(cache.Insert(KeyFor(ea), ea, va));
 
@@ -237,23 +248,23 @@ TEST_F(CacheTest, EvictionPressureFailpointAbandonsInsert) {
   EXPECT_EQ(stats.evictions, 0);
   EXPECT_GT(FailpointRegistry::Default().FireCount("cache.evict.pressure"), 0);
   // The incumbent entry survives intact.
-  EXPECT_NE(cache.Lookup(KeyFor(ea), ea, &stats), nullptr);
+  EXPECT_TRUE(cache.Lookup(KeyFor(ea), ea, &stats).has_value());
 
   // With the failpoint disarmed the same insert evicts normally.
   FailpointRegistry::Default().DisarmAll();
   EXPECT_TRUE(cache.Insert(KeyFor(eb), eb, vb, &stats));
-  EXPECT_EQ(cache.Lookup(KeyFor(ea), ea, &stats), nullptr);
+  EXPECT_FALSE(cache.Lookup(KeyFor(ea), ea, &stats).has_value());
 }
 
 TEST_F(CacheTest, ClearDropsEverything) {
   ResultCache cache;
   ExprPtr e = Expr::Canonicalize(Expr::Union(Expr::Name("a"), Expr::Name("b")));
-  auto value = std::make_shared<const RegionSet>(MakeSet({{1, 2}}));
+  RegionSet value = MakeSet({{1, 2}});
   ASSERT_TRUE(cache.Insert(KeyFor(e), e, value));
   cache.Clear();
   EXPECT_EQ(cache.entries(), 0);
   EXPECT_EQ(cache.bytes(), 0);
-  EXPECT_EQ(cache.Lookup(KeyFor(e), e), nullptr);
+  EXPECT_FALSE(cache.Lookup(KeyFor(e), e).has_value());
 }
 
 int64_t SupersededTotal() {
@@ -265,9 +276,8 @@ int64_t SupersededTotal() {
 TEST_F(CacheTest, NewerStampSupersedesTheOlderEntry) {
   ResultCache cache;
   ExprPtr e = Expr::Canonicalize(Expr::Union(Expr::Name("a"), Expr::Name("b")));
-  auto old_value = std::make_shared<const RegionSet>(MakeSet({{1, 2}}));
-  auto new_value =
-      std::make_shared<const RegionSet>(MakeSet({{1, 2}, {5, 6}, {7, 8}}));
+  RegionSet old_value = MakeSet({{1, 2}});
+  RegionSet new_value = MakeSet({{1, 2}, {5, 6}, {7, 8}});
   ASSERT_TRUE(cache.Insert(KeyFor(e, 1, /*stamp=*/3), e, old_value));
   // Another instance's entry for the same expression is not superseded.
   ASSERT_TRUE(cache.Insert(KeyFor(e, 2, /*stamp=*/1), e, old_value));
@@ -278,19 +288,21 @@ TEST_F(CacheTest, NewerStampSupersedesTheOlderEntry) {
   EXPECT_EQ(SupersededTotal(), superseded + 1);
   EXPECT_EQ(stats.evictions, 0);  // Superseding is not pressure.
   EXPECT_EQ(cache.entries(), 2);
-  EXPECT_EQ(cache.bytes(), ResultCache::EntryBytes(*new_value) +
-                               ResultCache::EntryBytes(*old_value));
-  EXPECT_EQ(cache.Lookup(KeyFor(e, 1, 3), e), nullptr);
-  EXPECT_EQ(cache.Lookup(KeyFor(e, 1, 5), e), new_value);
-  EXPECT_EQ(cache.Lookup(KeyFor(e, 2, 1), e), old_value);
+  EXPECT_EQ(cache.bytes(), ResultCache::EntryBytes(new_value) +
+                               ResultCache::EntryBytes(old_value));
+  EXPECT_FALSE(cache.Lookup(KeyFor(e, 1, 3), e).has_value());
+  EXPECT_EQ(Payload(cache.Lookup(KeyFor(e, 1, 5), e)),
+            new_value.regions().data());
+  EXPECT_EQ(Payload(cache.Lookup(KeyFor(e, 2, 1), e)),
+            old_value.regions().data());
 }
 
 TEST_F(CacheTest, InsertOlderThanItsIncumbentIsAbandoned) {
   ResultCache cache;
   ExprPtr e =
       Expr::Canonicalize(Expr::Intersect(Expr::Name("a"), Expr::Name("b")));
-  auto newer = std::make_shared<const RegionSet>(MakeSet({{3, 4}}));
-  auto older = std::make_shared<const RegionSet>(MakeSet({{1, 2}}));
+  RegionSet newer = MakeSet({{3, 4}});
+  RegionSet older = MakeSet({{1, 2}});
   ASSERT_TRUE(cache.Insert(KeyFor(e, 1, /*stamp=*/7), e, newer));
   const int64_t superseded = SupersededTotal();
 
@@ -300,8 +312,62 @@ TEST_F(CacheTest, InsertOlderThanItsIncumbentIsAbandoned) {
   EXPECT_EQ(stats.inserts, 0);
   EXPECT_EQ(stats.insert_failures, 0);
   EXPECT_EQ(cache.entries(), 1);
-  EXPECT_EQ(cache.Lookup(KeyFor(e, 1, 7), e), newer);
-  EXPECT_EQ(cache.Lookup(KeyFor(e, 1, 6), e), nullptr);
+  EXPECT_EQ(Payload(cache.Lookup(KeyFor(e, 1, 7), e)), newer.regions().data());
+  EXPECT_FALSE(cache.Lookup(KeyFor(e, 1, 6), e).has_value());
+}
+
+// The budget charges what the cache pins. After a random workload that
+// evicts, bytes() is the sum over the resident entries of each payload's
+// allocated regions plus the fixed per-entry overhead (the charge of an
+// empty set, which has no payload).
+TEST_F(CacheTest, BytesChargeTheResidentPayloads) {
+  Rng rng(5);
+  RandomInstanceOptions instance_options;
+  instance_options.num_regions = 600;
+  instance_options.max_names = 4;
+  const Instance instance = RandomLaminarInstance(rng, instance_options);
+  ResultCacheOptions options;
+  options.shards = 4;
+  options.max_bytes = 16 << 10;
+  ResultCache cache(options);
+  CacheQueryStats stats;
+  EvalOptions eval_options;
+  eval_options.result_cache = &cache;
+  eval_options.cache_stats = &stats;
+  static const char* kOps[] = {"|", "&", "-", "including", "within",
+                               "before", "after"};
+  auto name = [&] { return "R" + std::to_string(rng.Below(4)); };
+  auto op = [&] { return std::string(kOps[rng.Below(7)]); };
+  std::vector<ExprPtr> subtrees;
+  for (int q = 0; q < 300; ++q) {
+    const std::string query = "(" + name() + " " + op() + " " + name() +
+                              ") " + op() + " " + name();
+    const ExprPtr e = *ParseQuery(query);
+    ASSERT_TRUE(Evaluator(&instance, eval_options).Evaluate(e).ok()) << query;
+    subtrees.push_back(e);
+    subtrees.push_back(e->child(0));
+  }
+  EXPECT_GT(stats.evictions, 0);
+  CacheKeyer keyer(&instance);
+  const int64_t overhead = ResultCache::EntryBytes(RegionSet());
+  std::set<uint64_t> seen;
+  int64_t resident = 0;
+  int64_t pinned = 0;
+  for (const ExprPtr& e : subtrees) {
+    const ResultCache::Key key = keyer.Key(e);
+    if (!seen.insert(key.fingerprint).second) continue;
+    std::optional<RegionSet> hit = cache.Lookup(key, keyer.Canonical(e));
+    if (!hit.has_value()) continue;
+    ++resident;
+    EXPECT_EQ(hit->regions().capacity(), hit->size()) << e->ToString();
+    pinned += static_cast<int64_t>(hit->regions().capacity() *
+                                   sizeof(Region)) +
+              overhead;
+  }
+  EXPECT_GT(resident, 0);
+  EXPECT_EQ(resident, cache.entries());
+  EXPECT_EQ(cache.bytes(), pinned);
+  EXPECT_LE(cache.bytes(), options.max_bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -390,7 +456,7 @@ bool RootResident(ResultCache& cache, const Instance& instance,
                   const std::string& query) {
   ExprPtr e = *ParseQuery(query);
   CacheKeyer keyer(&instance);
-  return cache.Lookup(keyer.Key(e), keyer.Canonical(e)) != nullptr;
+  return cache.Lookup(keyer.Key(e), keyer.Canonical(e)).has_value();
 }
 
 TEST_F(CacheTest, WriteInvalidatesOnlyTheAnswersThatReadIt) {
@@ -697,8 +763,9 @@ TEST_F(CacheTest, ConcurrentEvaluatorsShareOneCache) {
   CacheQueryStats stats;
   ExprPtr query = *ParseQuery("(a & b) | (a & c)");
   CacheKeyer keyer(&instance);
-  EXPECT_NE(cache.Lookup(keyer.Key(query), keyer.Canonical(query), &stats),
-            nullptr);
+  EXPECT_TRUE(
+      cache.Lookup(keyer.Key(query), keyer.Canonical(query), &stats)
+          .has_value());
 }
 
 }  // namespace

@@ -255,6 +255,37 @@ class ExplainTest : public ::testing::Test {
   }
 };
 
+// The engine holds its per-query metric handles; each executed statement
+// counts once under its verb, and every executed one (not plain `explain`,
+// which runs nothing) observes one latency.
+TEST_F(ExplainTest, EachVerbAndTheLatencyHistogramCountTheQueriesRun) {
+  QueryEngine engine = MakeDictionaryEngine();
+  obs::Registry& registry = obs::Registry::Default();
+  auto queries = [&](const char* verb) {
+    return registry.GetCounter("regal_queries_total", {{"verb", verb}})
+        ->value();
+  };
+  obs::Histogram* latency = registry.GetHistogram("regal_query_latency_ms");
+  const int64_t run0 = queries("run");
+  const int64_t explain0 = queries("explain");
+  const int64_t analyze0 = queries("explain_analyze");
+  const int64_t latency0 = latency->count();
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(engine.Run("sense within entry").ok());
+  }
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(engine.Run("explain sense within entry").ok());
+  }
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(engine.Run("explain analyze sense within entry").ok());
+  }
+  ASSERT_FALSE(engine.Run("nosuchname within entry").ok());
+  EXPECT_EQ(queries("run") - run0, 5);
+  EXPECT_EQ(queries("explain") - explain0, 3);
+  EXPECT_EQ(queries("explain_analyze") - analyze0, 2);
+  EXPECT_EQ(latency->count() - latency0, 7);
+}
+
 TEST_F(ExplainTest, ExplainAnalyzeProfilesTheQuery) {
   QueryEngine engine = MakeDictionaryEngine();
   // This test observes real execution (work counters, per-operator spans);

@@ -249,6 +249,31 @@ TEST(SimdGallopLowerBound, MatchesStdLowerBoundAndChargesEqually) {
 }
 
 TEST(SimdEndpointFilters, MatchScalarOnAllSizesAndBounds) {
+  auto check = [](const std::vector<Region>& in, Offset bound) {
+    std::vector<Region> want_rb, want_la;
+    for (const Region& x : in) {
+      if (x.right < bound) want_rb.push_back(x);
+      if (x.left > bound) want_la.push_back(x);
+    }
+    for (const KernelTable* kt : AvailableTables()) {
+      std::vector<Region> got_rb = {{-99, -98}};  // Must be preserved.
+      std::vector<Region> got_la = {{-99, -98}};
+      kt->filter_right_before(in.data(), in.size(), bound, &got_rb);
+      kt->filter_left_after(in.data(), in.size(), bound, &got_la);
+      ASSERT_EQ(got_rb.front(), (Region{-99, -98})) << kt->name;
+      ASSERT_EQ(got_la.front(), (Region{-99, -98})) << kt->name;
+      got_rb.erase(got_rb.begin());
+      got_la.erase(got_la.begin());
+      EXPECT_EQ(want_rb, got_rb)
+          << kt->name << " right<" << bound << " n=" << in.size();
+      EXPECT_EQ(want_la, got_la)
+          << kt->name << " left>" << bound << " n=" << in.size();
+      // An output that starts empty is grown once, to exactly its keepers.
+      std::vector<Region> exact;
+      kt->filter_right_before(in.data(), in.size(), bound, &exact);
+      EXPECT_EQ(exact.capacity(), exact.size()) << kt->name;
+    }
+  };
   Rng rng(7);
   for (size_t n = 0; n <= 70; ++n) {
     const std::vector<Region> in =
@@ -256,26 +281,22 @@ TEST(SimdEndpointFilters, MatchScalarOnAllSizesAndBounds) {
     // Bounds spanning none/some/all pass rates.
     for (Offset bound : {Offset{-10}, Offset{0}, Offset{13}, Offset{20},
                          Offset{41}, Offset{100}}) {
-      std::vector<Region> want_rb, want_la;
-      for (const Region& x : in) {
-        if (x.right < bound) want_rb.push_back(x);
-        if (x.left > bound) want_la.push_back(x);
-      }
-      for (const KernelTable* kt : AvailableTables()) {
-        std::vector<Region> got_rb = {{-99, -98}};  // Must be preserved.
-        std::vector<Region> got_la = {{-99, -98}};
-        kt->filter_right_before(in.data(), in.size(), bound, &got_rb);
-        kt->filter_left_after(in.data(), in.size(), bound, &got_la);
-        ASSERT_EQ(got_rb.front(), (Region{-99, -98})) << kt->name;
-        ASSERT_EQ(got_la.front(), (Region{-99, -98})) << kt->name;
-        got_rb.erase(got_rb.begin());
-        got_la.erase(got_la.begin());
-        EXPECT_EQ(want_rb, got_rb)
-            << kt->name << " right<" << bound << " n=" << n;
-        EXPECT_EQ(want_la, got_la)
-            << kt->name << " left>" << bound << " n=" << n;
-      }
+      check(in, bound);
     }
+  }
+  // Inputs long enough that more than 64 vectors hold a rejected region and
+  // runs of keepers outgrow the copy pass's flush length: short regions in
+  // order, every 97th widened past the middle so it contains the bound.
+  for (Offset n : {Offset{1000}, Offset{20000}}) {
+    std::vector<Region> in;
+    for (Offset i = 0; i < n; ++i) {
+      in.push_back(Region{3 * i, i % 97 == 0 ? 3 * n : 3 * i + 1});
+    }
+    in = Canon(std::move(in));
+    for (Offset bound : {Offset{0}, 3 * n / 2, 3 * n - 2, 4 * n}) {
+      check(in, bound);
+    }
+    check(RandomRegions(rng, static_cast<size_t>(n), 4 * n), 2 * n);
   }
 }
 
