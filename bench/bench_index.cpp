@@ -1,6 +1,7 @@
 // Experiment E9: the PAT substrate [Gon87, Ope93]. Suffix-array
 // construction and pattern search throughput over synthetic corpora, plus
-// the word-index build and the σ_p lookup path both indexes implement.
+// the word-index build, the whole SGML ingest it is part of, and the σ_p
+// lookup path both indexes implement.
 // Establishes that the selection operator runs against a real index.
 
 #include <benchmark/benchmark.h>
@@ -66,6 +67,21 @@ void BM_WordIndexBuild(benchmark::State& state) {
                           static_cast<int64_t>(text.size()));
 }
 
+// A whole ParseSgml of the same dictionaries: the tag scan, the region sets
+// and the word index, which is what a corpus costs before its first query.
+void BM_ParseSgml(benchmark::State& state) {
+  DictionaryGeneratorOptions options;
+  options.entries = static_cast<int>(state.range(0));
+  const std::string source = GenerateDictionarySource(options);
+  for (auto _ : state) {
+    Result<Instance> instance = ParseSgml(source);
+    if (!instance.ok()) state.SkipWithError("ParseSgml failed");
+    benchmark::DoNotOptimize(instance);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(source.size()));
+}
+
 void BM_WordIndexExact(benchmark::State& state) {
   Text text(MakeCorpus(state.range(0)));
   SuffixArrayWordIndex index(&text);
@@ -97,6 +113,7 @@ BENCHMARK(BM_SuffixArrayBuild)->Range(1 << 12, 1 << 20);
 BENCHMARK(BM_SuffixArraySearch)->Range(1 << 12, 1 << 20);
 BENCHMARK(BM_SuffixArrayOccurrences)->Range(1 << 12, 1 << 20);
 BENCHMARK(BM_WordIndexBuild)->Arg(2000)->Arg(4000);
+BENCHMARK(BM_ParseSgml)->Arg(2000)->Arg(4000);
 BENCHMARK(BM_WordIndexExact)->Range(1 << 12, 1 << 18);
 BENCHMARK(BM_WordIndexPrefix)->Range(1 << 12, 1 << 18);
 BENCHMARK(BM_InvertedIndexPrefix)->Range(1 << 12, 1 << 18);

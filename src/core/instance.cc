@@ -147,32 +147,44 @@ const RegionTree& Instance::Tree() const {
 }
 
 RegionTree Instance::BuildTree() const {
-  struct Entry {
-    Region region;
+  // Each name's set is in document order, so the tree's order is their
+  // k-way merge: a heap of the names' next regions, the first on top.
+  struct Cursor {
+    const Region* next;
+    const Region* end;
     int name_id;
   };
-  std::vector<Entry> entries;
-  entries.reserve(NumRegions());
+  std::vector<Cursor> heap;
   for (size_t id = 0; id < sets_.size(); ++id) {
-    for (const Region& r : sets_[id]) {
-      entries.push_back(Entry{r, static_cast<int>(id)});
-    }
+    const std::vector<Region>& regions = sets_[id].regions();
+    if (regions.empty()) continue;
+    heap.push_back(Cursor{regions.data(), regions.data() + regions.size(),
+                          static_cast<int>(id)});
   }
-  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
-    return RegionDocumentOrder()(a.region, b.region);
-  });
-  const size_t n = entries.size();
+  const auto later = [](const Cursor& a, const Cursor& b) {
+    return RegionDocumentOrder()(*b.next, *a.next);
+  };
+  std::make_heap(heap.begin(), heap.end(), later);
+  const size_t n = NumRegions();
   RegionTree tree;
-  tree.regions.resize(n);
-  tree.name_ids.resize(n);
+  tree.regions.reserve(n);
+  tree.name_ids.reserve(n);
   tree.parents.assign(n, -1);
   std::vector<int> open;  // Stack of indices of currently-open ancestors.
-  for (size_t i = 0; i < n; ++i) {
-    tree.regions[i] = entries[i].region;
-    tree.name_ids[i] = entries[i].name_id;
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    Cursor& first = heap.back();
+    const Region r = *first.next;
+    const size_t i = tree.regions.size();
+    tree.regions.push_back(r);
+    tree.name_ids.push_back(first.name_id);
+    if (++first.next == first.end) {
+      heap.pop_back();
+    } else {
+      std::push_heap(heap.begin(), heap.end(), later);
+    }
     while (!open.empty() &&
-           tree.regions[static_cast<size_t>(open.back())].right <
-               entries[i].region.left) {
+           tree.regions[static_cast<size_t>(open.back())].right < r.left) {
       open.pop_back();
     }
     if (!open.empty()) tree.parents[i] = open.back();

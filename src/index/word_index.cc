@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <numeric>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/counters.h"
+#include "util/interner.h"
 #include "util/stringutil.h"
 
 namespace regal {
@@ -60,33 +61,39 @@ void SortByLeft(std::vector<Token>* tokens, Offset limit) {
 
 SuffixArrayWordIndex::SuffixArrayWordIndex(const Text* text) : text_(text) {
   const std::string_view content = text->content();
-  const std::vector<Token> tokens = Tokenize(content);
-  // Word ids in order of first occurrence, and each token's word.
-  std::unordered_map<std::string_view, int32_t> ids;
-  std::vector<int32_t> token_words(tokens.size());
+  // One scan: each token's left offset and word id, ids in order of first
+  // occurrence.
+  struct Occurrence {
+    Offset left;
+    int32_t word;
+  };
+  std::vector<Occurrence> occurrences;
+  Interner words;
+  ForEachToken(content, [&](const Token& t) {
+    occurrences.push_back(
+        Occurrence{t.left, words.Intern(TokenText(content, t))});
+  });
+  const auto num_words = static_cast<size_t>(words.size());
   std::string joined;
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    const std::string_view word = TokenText(content, tokens[i]);
-    const auto [it, added] =
-        ids.try_emplace(word, static_cast<int32_t>(ids.size()));
-    if (added) {
-      word_starts_.push_back(static_cast<int32_t>(joined.size()));
-      for (char c : word) joined += ToLowerAscii(c);
-      joined += kJoin;
-    }
-    token_words[i] = it->second;
+  word_starts_.reserve(num_words + 1);
+  for (size_t w = 0; w < num_words; ++w) {
+    word_starts_.push_back(static_cast<int32_t>(joined.size()));
+    for (char c : words.key(static_cast<int32_t>(w))) joined += ToLowerAscii(c);
+    joined += kJoin;
   }
   word_starts_.push_back(static_cast<int32_t>(joined.size()));
-  // A counting sort of the tokens by word; it is stable, so each posting
-  // list stays in text order.
-  offsets_.assign(ids.size() + 1, 0);
-  for (int32_t w : token_words) ++offsets_[static_cast<size_t>(w) + 1];
+  // A counting sort of the left offsets by word; it is stable, so each
+  // posting list stays in text order.
+  offsets_.assign(num_words + 1, 0);
+  for (const Occurrence& o : occurrences) {
+    ++offsets_[static_cast<size_t>(o.word) + 1];
+  }
   std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
   std::vector<int32_t> next(offsets_.begin(), offsets_.end() - 1);
-  postings_.resize(tokens.size());
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    const auto w = static_cast<size_t>(token_words[i]);
-    postings_[static_cast<size_t>(next[w]++)] = tokens[i];
+  postings_.resize(occurrences.size());
+  for (const Occurrence& o : occurrences) {
+    postings_[static_cast<size_t>(next[static_cast<size_t>(o.word)]++)] =
+        o.left;
   }
   vocabulary_ = SuffixArray(std::move(joined));
 }
@@ -123,10 +130,20 @@ std::vector<Token> SuffixArrayWordIndex::Matches(const Pattern& p) const {
   std::vector<Token> out;
   size_t matched_words = 0;
   for (int32_t w : candidates) {
-    const Token* begin = postings_.data() + offsets_[static_cast<size_t>(w)];
-    const Token* end = postings_.data() + offsets_[static_cast<size_t>(w) + 1];
-    if (!p.MatchesToken(TokenText(content, *begin))) continue;
-    out.insert(out.end(), begin, end);
+    const Offset* begin = postings_.data() + offsets_[static_cast<size_t>(w)];
+    const Offset* end =
+        postings_.data() + offsets_[static_cast<size_t>(w) + 1];
+    const Offset length = WordLength(static_cast<size_t>(w));
+    if (!p.MatchesToken(content.substr(static_cast<size_t>(*begin),
+                                       static_cast<size_t>(length)))) {
+      continue;
+    }
+    const size_t at = out.size();
+    out.resize(at + static_cast<size_t>(end - begin));
+    std::transform(begin, end, out.begin() + static_cast<std::ptrdiff_t>(at),
+                   [length](Offset left) {
+                     return Token{left, left + length - 1};
+                   });
     ++matched_words;
   }
   // One posting list is in text order already.
@@ -142,10 +159,10 @@ std::vector<Token> SuffixArrayWordIndex::Matches(const Pattern& p) const {
 
 InvertedWordIndex::InvertedWordIndex(const Text* text) : text_(text) {
   const std::string_view content = text->content();
-  for (const Token& t : Tokenize(content)) {
+  ForEachToken(content, [&](const Token& t) {
     postings_[std::string(TokenText(content, t))].push_back(t);
     ++num_tokens_;
-  }
+  });
 }
 
 std::vector<Token> InvertedWordIndex::Matches(const Pattern& p) const {

@@ -37,14 +37,16 @@ class WordIndex {
 };
 
 /// Word index backed by a suffix array over the vocabulary. Building it
-/// gives each distinct token string a word id and a posting list of its
-/// tokens in text order, and sorts the suffixes of the lower-cased distinct
-/// words joined by a byte no token contains, so the suffix array is the size
-/// of the vocabulary, not of the text. A lookup binary-searches the
-/// lower-cased literal core of the pattern, maps the matching slots to their
-/// words, checks each such word once against the full pattern (which keeps
-/// case-sensitive patterns exact), and merges the postings of the words that
-/// match. A pattern with an empty core checks every word.
+/// scans the text once, giving each distinct token string a word id as the
+/// token is read (an Interner, util/interner.h) and recording its left
+/// offset; a counting sort then lays the offsets out as one posting list
+/// per word, in text order. It sorts the suffixes of the lower-cased
+/// distinct words joined by a byte no token contains, so the suffix array
+/// is the size of the vocabulary, not of the text. A lookup binary-searches
+/// the lower-cased literal core of the pattern, maps the matching slots to
+/// their words, checks each such word once against the full pattern (which
+/// keeps case-sensitive patterns exact), and merges the postings of the
+/// words that match. A pattern with an empty core checks every word.
 class SuffixArrayWordIndex : public WordIndex {
  public:
   /// Builds the index. `text` must outlive the index.
@@ -56,10 +58,16 @@ class SuffixArrayWordIndex : public WordIndex {
   }
 
  private:
+  // The length of word w; every token of w has it.
+  Offset WordLength(size_t w) const {
+    return word_starts_[w + 1] - word_starts_[w] - 1;  // Less the join byte.
+  }
+
   const Text* text_;
-  // Word w's tokens, in text order, are postings_[offsets_[w], offsets_[w+1]).
+  // The left offsets of word w's tokens, in text order, are
+  // postings_[offsets_[w], offsets_[w+1]); each token is WordLength(w) long.
   std::vector<int32_t> offsets_;
-  std::vector<Token> postings_;
+  std::vector<Offset> postings_;
   // Word w's lower-cased text, then the join byte, starts at word_starts_[w]
   // of vocabulary_.text(); the last element is that text's size.
   std::vector<int32_t> word_starts_;

@@ -4,28 +4,26 @@
 
 namespace regal {
 
-Text::Text(std::string content) : content_(std::move(content)) {
-  line_starts_.push_back(0);
-  for (size_t i = 0; i < content_.size(); ++i) {
-    if (content_[i] == '\n' && i + 1 < content_.size()) {
-      line_starts_.push_back(static_cast<Offset>(i + 1));
-    }
-  }
-}
-
 std::string_view Text::Slice(Offset left, Offset right) const {
-  return std::string_view(content_).substr(static_cast<size_t>(left),
-                                           static_cast<size_t>(right - left + 1));
+  const Offset first = std::max<Offset>(left, 0);
+  const Offset last = std::min<Offset>(right, size() - 1);
+  if (first > last) return {};
+  return std::string_view(content_).substr(
+      static_cast<size_t>(first), static_cast<size_t>(last - first + 1));
 }
 
 int Text::LineOf(Offset offset) const {
-  auto it = std::upper_bound(line_starts_.begin(), line_starts_.end(), offset);
-  return static_cast<int>(it - line_starts_.begin());
+  const std::string_view before =
+      std::string_view(content_).substr(0, static_cast<size_t>(offset));
+  return 1 + static_cast<int>(std::count(before.begin(), before.end(), '\n'));
 }
 
 int Text::ColumnOf(Offset offset) const {
-  int line = LineOf(offset);
-  return static_cast<int>(offset - line_starts_[static_cast<size_t>(line - 1)]) + 1;
+  const std::string_view before =
+      std::string_view(content_).substr(0, static_cast<size_t>(offset));
+  const size_t newline = before.rfind('\n');
+  const size_t line_start = newline == std::string_view::npos ? 0 : newline + 1;
+  return static_cast<int>(before.size() - line_start) + 1;
 }
 
 std::string Text::Snippet(Offset left, Offset right, int max_len) const {

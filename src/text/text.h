@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
+#include <utility>
 
 #include "util/status.h"
 
@@ -15,7 +15,7 @@ namespace regal {
 /// type narrow for cache-friendliness of region lists).
 using Offset = int32_t;
 
-/// An immutable text buffer with offset <-> line/column mapping.
+/// An immutable text buffer.
 ///
 /// All regions produced by the library use *inclusive* endpoint offsets into
 /// one Text (left = offset of the first byte, right = offset of the last
@@ -24,29 +24,32 @@ using Offset = int32_t;
 class Text {
  public:
   Text() = default;
-  explicit Text(std::string content);
+  explicit Text(std::string content) : content_(std::move(content)) {}
 
   const std::string& content() const { return content_; }
   Offset size() const { return static_cast<Offset>(content_.size()); }
 
-  /// Substring covered by the inclusive range [left, right].
-  /// Requires 0 <= left <= right < size().
+  /// Substring covered by the inclusive range [left, right], clipped to the
+  /// text: empty when the range lies wholly outside it. Regions reach the
+  /// renderer unchecked (defined by a client, kept across a shorter
+  /// BindText, decoded from a snapshot or the WAL), so no range is an error.
   std::string_view Slice(Offset left, Offset right) const;
 
-  /// 1-based line number of `offset`. Requires 0 <= offset < size().
+  /// 1-based line number of `offset`. Requires 0 <= offset < size(). Scans
+  /// the text up to `offset`: only diagnostics and tests ask.
   int LineOf(Offset offset) const;
 
-  /// 1-based column of `offset` within its line.
+  /// 1-based column of `offset` within its line; scans back to the line's
+  /// start.
   int ColumnOf(Offset offset) const;
 
-  /// A short single-line excerpt around [left, right], ellipsized to at most
-  /// `max_len` characters; newlines are replaced by spaces. For diagnostics
-  /// and example output.
+  /// A short single-line excerpt around [left, right] (clipped as Slice
+  /// clips), ellipsized to at most `max_len` characters; newlines are
+  /// replaced by spaces. For diagnostics and example output.
   std::string Snippet(Offset left, Offset right, int max_len = 60) const;
 
  private:
   std::string content_;
-  std::vector<Offset> line_starts_;  // Offset of the first byte of each line.
 };
 
 }  // namespace regal

@@ -1,23 +1,10 @@
 #include "text/tokenizer.h"
 
-#include "util/stringutil.h"
-
 namespace regal {
 
 std::vector<Token> Tokenize(std::string_view text) {
   std::vector<Token> tokens;
-  size_t i = 0;
-  const size_t n = text.size();
-  while (i < n) {
-    if (!IsIdentChar(text[i])) {
-      ++i;
-      continue;
-    }
-    size_t start = i;
-    while (i < n && IsIdentChar(text[i])) ++i;
-    tokens.push_back(Token{static_cast<Offset>(start),
-                           static_cast<Offset>(i - 1)});
-  }
+  ForEachToken(text, [&](const Token& t) { tokens.push_back(t); });
   return tokens;
 }
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "text/text.h"
+#include "util/stringutil.h"
 
 namespace regal {
 
@@ -20,9 +21,27 @@ struct Token {
   }
 };
 
-/// Splits text into tokens: maximal runs of [A-Za-z0-9_]. Deterministic and
-/// locale independent. Both word-index implementations tokenize with this
-/// function so their W(r, p) predicates agree.
+/// Calls `visit(Token)` for each token of `text` in text order. A token is
+/// a maximal run of [A-Za-z0-9_]: deterministic and locale independent.
+/// This scan is the one definition of a token; Tokenize and both word
+/// indexes run it, so their W(r, p) predicates agree.
+template <typename Visit>
+void ForEachToken(std::string_view text, Visit&& visit) {
+  const size_t n = text.size();
+  size_t i = 0;
+  while (i < n) {
+    if (!IsIdentChar(text[i])) {
+      ++i;
+      continue;
+    }
+    const size_t start = i;
+    while (++i < n && IsIdentChar(text[i])) {
+    }
+    visit(Token{static_cast<Offset>(start), static_cast<Offset>(i - 1)});
+  }
+}
+
+/// The tokens of `text`, in text order (see ForEachToken).
 std::vector<Token> Tokenize(std::string_view text);
 
 /// The token text for `t` within `text`.

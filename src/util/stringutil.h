@@ -1,6 +1,7 @@
 #ifndef REGAL_UTIL_STRINGUTIL_H_
 #define REGAL_UTIL_STRINGUTIL_H_
 
+#include <array>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,11 +25,23 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 /// Strips leading/trailing ASCII whitespace.
 std::string_view StripAscii(std::string_view s);
 
+/// kIdentChars[b] is true iff byte b is an ASCII letter, digit or
+/// underscore.
+inline constexpr std::array<bool, 256> kIdentChars = [] {
+  std::array<bool, 256> table{};
+  for (int c = 0; c < 256; ++c) {
+    table[static_cast<size_t>(c)] = (c >= 'a' && c <= 'z') ||
+                                    (c >= 'A' && c <= 'Z') ||
+                                    (c >= '0' && c <= '9') || c == '_';
+  }
+  return table;
+}();
+
 /// True iff c is an ASCII letter, digit or underscore (identifier char).
-/// Inline: the tokenizer tests every byte of the text with it.
+/// Inline and one table load: the tokenizer tests every byte of the text
+/// with it.
 inline bool IsIdentChar(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-         (c >= '0' && c <= '9') || c == '_';
+  return kIdentChars[static_cast<unsigned char>(c)];
 }
 
 }  // namespace regal

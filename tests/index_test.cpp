@@ -11,6 +11,7 @@
 #include "index/suffix_array.h"
 #include "index/word_index.h"
 #include "obs/counters.h"
+#include "util/interner.h"
 #include "util/random.h"
 #include "util/stringutil.h"
 
@@ -462,6 +463,100 @@ TEST(WordIndexDifferentialTest, IndexesAgreeWithTokenScan) {
     for (bool ci : {false, true}) patterns.push_back(*Pattern::Parse(spec, ci));
   }
   ExpectIndexesMatchScan(GenerateDictionarySource(options), patterns);
+
+  // A text that ends inside a token, and texts that are one token.
+  patterns.clear();
+  for (const char* spec : {"abc", "ab*", "*c", "x", "X", "tail", "?", "???"}) {
+    for (bool ci : {false, true}) patterns.push_back(*Pattern::Parse(spec, ci));
+  }
+  for (const std::string& content :
+       {std::string("abc.def tail"), std::string("abc"), std::string("x"),
+        std::string("\n\nabc")}) {
+    ExpectIndexesMatchScan(content, patterns);
+  }
+
+  // Tokens longer than 16 bytes that repeat, some ending the text.
+  for (int trial = 0; trial < 8; ++trial) {
+    std::vector<std::string> pool;
+    for (int i = 0; i < 5; ++i) {
+      std::string word;
+      const int length = static_cast<int>(17 + rng.Below(40));
+      for (int j = 0; j < length; ++j) word += "aAbBzZ09_"[rng.Below(9)];
+      pool.push_back(word);
+    }
+    std::string content;
+    for (int i = 0; i < 40; ++i) {
+      if (i > 0) content += separators[rng.Below(separators.size())];
+      content += pool[rng.Below(pool.size())];
+    }
+    patterns.clear();
+    for (int q = 0; q < 30; ++q) {
+      patterns.push_back(RandomPattern(&rng, separators));
+    }
+    for (const std::string& word : pool) {
+      patterns.push_back(*Pattern::Parse(word));
+      patterns.push_back(*Pattern::Parse(word.substr(0, 12) + "*", true));
+    }
+    ExpectIndexesMatchScan(content, patterns);
+  }
+
+  // 70-byte words equal but for one letter flipped at offsets i and i + 64:
+  // their bytes rotate by 7 bits per offset, a full turn of 64 bits every
+  // 64 offsets, so the two flips cancel and all 31 words share one hash.
+  // The index must tell them apart by their bytes.
+  std::string colliding;
+  const std::string base(70, 'a');
+  std::vector<std::string> flipped = {base};
+  for (size_t i = 0; i < 6; ++i) {
+    for (char letter : {'b', 'd', 'e', 'f', 'g'}) {
+      std::string word = base;
+      word[i] = letter;
+      word[i + 64] = letter;
+      flipped.push_back(word);
+    }
+  }
+  patterns.clear();
+  for (const std::string& word : flipped) {
+    colliding += word + ' ' + word + '\n';
+    patterns.push_back(*Pattern::Parse(word));
+  }
+  patterns.push_back(*Pattern::Parse("aaaa*"));
+  patterns.push_back(*Pattern::Parse("*b*"));
+  ExpectIndexesMatchScan(colliding, patterns);
+
+  // A vocabulary of 120,000 distinct words, in both cases, some repeated:
+  // the word-id table doubles from its first size to 2^18 slots.
+  std::string large;
+  for (int i = 0; i < 120000; ++i) {
+    large += (i % 3 == 0 ? "W" : "w") + std::to_string(i);
+    large += i % 7 == 0 ? "\n" : " ";
+    if (i % 5 == 0) large += "w" + std::to_string(i / 5) + ' ';
+  }
+  patterns.clear();
+  for (const char* spec : {"w1", "W3", "w119999", "W119997", "w1234*", "*999",
+                           "*77*", "W1?3", "w?????"}) {
+    for (bool ci : {false, true}) patterns.push_back(*Pattern::Parse(spec, ci));
+  }
+  ExpectIndexesMatchScan(large, patterns);
+}
+
+// Ids are dense, in order of first appearance, and every key reads back;
+// the table doubles as it fills.
+TEST(InternerTest, DenseIdsInOrderOfFirstAppearance) {
+  Interner interner;
+  EXPECT_EQ(interner.size(), 0);
+  std::vector<std::string> keys;
+  for (int i = 0; i < 5000; ++i) keys.push_back("k" + std::to_string(i));
+  keys.push_back("");
+  keys.push_back(std::string("\0x", 2));
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(interner.Intern(keys[i]), static_cast<int32_t>(i));
+    EXPECT_EQ(interner.Intern(keys[i / 2]), static_cast<int32_t>(i / 2));
+  }
+  ASSERT_EQ(interner.size(), static_cast<int32_t>(keys.size()));
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(interner.key(static_cast<int32_t>(i)), keys[i]);
+  }
 }
 
 }  // namespace

@@ -366,6 +366,27 @@ TEST_F(QueryServiceTest, RowsRenderUnderTheQuerysCatalogLock) {
   rebinder.join();
 }
 
+// A region may lie past the bound text: a client defines it, or a shorter
+// text is bound later. Rendering it must clip its snippet, not throw on the
+// handler thread and end the process.
+TEST_F(QueryServiceTest, RegionsPastTheTextRenderClipped) {
+  StartService();
+  std::shared_ptr<QueryEngine> hosted = service_->engine("corpus1");
+  ASSERT_NE(hosted, nullptr);
+  ASSERT_TRUE(hosted->BindText("abc def").ok());
+  ASSERT_TRUE(hosted->DefineRegions("y", RegionSet{{4, 12}, {20, 40}}).ok());
+  server::Client client = Connect();
+  server::Request request = MakeRequest("t", "y");
+  request.limit = 10;
+  auto response = client.Call(request);
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_TRUE(response->ok) << response->message;
+  EXPECT_EQ(response->row_count, 2);
+  EXPECT_EQ(response->rows,
+            (std::vector<std::string>{"[4,12]  \"def\"", "[20,40]  \"\""}));
+  ExpectStillServing();
+}
+
 TEST_F(QueryServiceTest, InstanceRouting) {
   StartService();
   auto engine2 = QueryEngine::FromSgmlSource(kDoc);

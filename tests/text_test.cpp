@@ -14,14 +14,49 @@ TEST(TextTest, SliceInclusive) {
   EXPECT_EQ(t.Slice(4, 6), "o w");
 }
 
+// Regions reach Slice unchecked (a client's DefineRegions, a later shorter
+// BindText, a decoded snapshot), so it clips them to the text.
+TEST(TextTest, SliceClipsToTheText) {
+  Text t("abc def");
+  EXPECT_EQ(t.Slice(4, 12), "def");  // Partly past the end.
+  EXPECT_EQ(t.Slice(-3, 1), "ab");   // Partly before the start.
+  EXPECT_EQ(t.Slice(-3, 40), "abc def");
+  EXPECT_EQ(t.Slice(20, 40), "");    // Wholly past the end.
+  EXPECT_EQ(t.Slice(7, 7), "");
+  EXPECT_EQ(t.Slice(-9, -1), "");    // Wholly before the start.
+  EXPECT_EQ(t.Slice(0, 2147483647), "abc def");
+  EXPECT_EQ(t.Snippet(20, 40), "");
+  EXPECT_EQ(t.Snippet(4, 12), "def");
+  EXPECT_EQ(Text().Slice(0, 0), "");
+}
+
 TEST(TextTest, LineAndColumn) {
   Text t("ab\ncd\nef");
   EXPECT_EQ(t.LineOf(0), 1);
+  EXPECT_EQ(t.ColumnOf(0), 1);
   EXPECT_EQ(t.LineOf(2), 1);  // The newline belongs to line 1.
+  EXPECT_EQ(t.ColumnOf(2), 3);
   EXPECT_EQ(t.LineOf(3), 2);
-  EXPECT_EQ(t.LineOf(7), 3);
+  EXPECT_EQ(t.LineOf(7), 3);  // The last byte.
+  EXPECT_EQ(t.ColumnOf(7), 2);
   EXPECT_EQ(t.ColumnOf(3), 1);
   EXPECT_EQ(t.ColumnOf(4), 2);
+
+  // A trailing newline ends the last line; it starts no new one.
+  Text trailing("ab\ncd\n");
+  EXPECT_EQ(trailing.LineOf(5), 2);
+  EXPECT_EQ(trailing.ColumnOf(5), 3);
+
+  Text one_line("no newline here");
+  EXPECT_EQ(one_line.LineOf(0), 1);
+  EXPECT_EQ(one_line.LineOf(14), 1);
+  EXPECT_EQ(one_line.ColumnOf(14), 15);
+
+  Text newlines("\n\n\n");
+  for (Offset i = 0; i < newlines.size(); ++i) {
+    EXPECT_EQ(newlines.LineOf(i), i + 1);
+    EXPECT_EQ(newlines.ColumnOf(i), 1);
+  }
 }
 
 TEST(TextTest, SnippetEllipsizes) {
