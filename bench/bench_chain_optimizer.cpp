@@ -7,6 +7,7 @@
 
 #include "opt/chain.h"
 #include "util/random.h"
+#include "util/stringutil.h"
 
 namespace regal {
 namespace {
@@ -18,15 +19,16 @@ Digraph LayeredRig(int layers, int width, double density, uint64_t seed) {
   Digraph rig;
   for (int l = 0; l < layers; ++l) {
     for (int w = 0; w < width; ++w) {
-      rig.AddNode("L" + std::to_string(l) + "_" + std::to_string(w));
+      rig.AddNode(StrCat({"L", std::to_string(l), "_", std::to_string(w)}));
     }
   }
   for (int l = 0; l + 1 < layers; ++l) {
     for (int a = 0; a < width; ++a) {
       for (int b = 0; b < width; ++b) {
         if (rng.Chance(density)) {
-          rig.AddEdge("L" + std::to_string(l) + "_" + std::to_string(a),
-                      "L" + std::to_string(l + 1) + "_" + std::to_string(b));
+          rig.AddEdge(
+              StrCat({"L", std::to_string(l), "_", std::to_string(a)}),
+              StrCat({"L", std::to_string(l + 1), "_", std::to_string(b)}));
         }
       }
     }
@@ -40,7 +42,7 @@ void BM_ChainOptimizeByLength(benchmark::State& state) {
   InclusionChain chain;
   chain.op = OpKind::kIncluded;
   for (int l = length - 1; l >= 0; --l) {
-    chain.names.push_back("L" + std::to_string(l) + "_0");
+    chain.names.push_back(StrCat({"L", std::to_string(l), "_0"}));
   }
   size_t optimized_length = 0;
   for (auto _ : state) {
@@ -58,7 +60,7 @@ void BM_ChainOptimizeByRigSize(benchmark::State& state) {
   InclusionChain chain;
   chain.op = OpKind::kIncluded;
   for (int l = 5; l >= 0; --l) {
-    chain.names.push_back("L" + std::to_string(l) + "_0");
+    chain.names.push_back(StrCat({"L", std::to_string(l), "_0"}));
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(OptimizeInclusionChain(rig, chain));

@@ -8,6 +8,7 @@
 
 #include "rig/minimal_set.h"
 #include "util/random.h"
+#include "util/stringutil.h"
 
 namespace regal {
 namespace {
@@ -61,12 +62,12 @@ void BM_SingleOpMinCut(benchmark::State& state) {
   rig.AddNode("S");
   rig.AddNode("T");
   for (int w = 0; w < width; ++w) {
-    std::string mid = "m" + std::to_string(w);
+    std::string mid = StrCat({"m", std::to_string(w)});
     rig.AddEdge("S", mid);
     rig.AddEdge(mid, "T");
     // Cross edges for density.
     if (w > 0 && rng.Chance(0.5)) {
-      rig.AddEdge("m" + std::to_string(w - 1), mid);
+      rig.AddEdge(StrCat({"m", std::to_string(w - 1)}), mid);
     }
   }
   size_t size = 0;

@@ -4,6 +4,8 @@
 #include <set>
 #include <utility>
 
+#include "util/stringutil.h"
+
 namespace regal {
 
 bool IsStructuralOp(OpKind kind) {
@@ -115,9 +117,9 @@ std::string Expr::ToString() const {
     case OpKind::kName:
       return name_;
     case OpKind::kSelect:
-      return "(" + children_[0]->ToString() + " matching " +
-             (pattern_->case_insensitive() ? "~" : "") + "\"" +
-             pattern_->ToString() + "\")";
+      return StrCat({"(", children_[0]->ToString(), " matching ",
+                     pattern_->case_insensitive() ? "~" : "", "\"",
+                     pattern_->ToString(), "\")"});
     case OpKind::kBothIncluded:
       return "bi(" + children_[0]->ToString() + ", " +
              children_[1]->ToString() + ", " + children_[2]->ToString() + ")";
@@ -125,8 +127,8 @@ std::string Expr::ToString() const {
       return std::string("word ") + (pattern_->case_insensitive() ? "~" : "") +
              "\"" + pattern_->ToString() + "\"";
     default:
-      return "(" + children_[0]->ToString() + " " + OpKindToken(kind_) + " " +
-             children_[1]->ToString() + ")";
+      return StrCat({"(", children_[0]->ToString(), " ", OpKindToken(kind_),
+                     " ", children_[1]->ToString(), ")"});
   }
 }
 

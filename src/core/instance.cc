@@ -80,8 +80,14 @@ size_t Instance::NumRegions() const {
 }
 
 void Instance::BindText(std::shared_ptr<const Text> text) {
+  auto index = std::make_shared<SuffixArrayWordIndex>(text.get());
+  BindText(std::move(text), std::move(index));
+}
+
+void Instance::BindText(std::shared_ptr<const Text> text,
+                        std::shared_ptr<const WordIndex> index) {
   text_ = std::move(text);
-  word_index_ = std::make_shared<SuffixArrayWordIndex>(text_.get());
+  word_index_ = std::move(index);
   content_stamp_ = ++epoch_;  // Selections and word matches now differ.
 }
 

@@ -92,6 +92,11 @@ class Instance {
   /// distinct words), which then answers W(r, p).
   void BindText(std::shared_ptr<const Text> text);
 
+  /// Binds text content with its word index, built over `text` already
+  /// (ParseSgml builds it beside its tag scan).
+  void BindText(std::shared_ptr<const Text> text,
+                std::shared_ptr<const WordIndex> index);
+
   /// Declares, in synthetic mode, the exact set of regions for which
   /// W(r, p) holds. Regions must belong to the instance.
   void SetSyntheticPattern(const Pattern& p, RegionSet regions_where_true);

@@ -63,7 +63,14 @@ inline std::ostream& operator<<(std::ostream& os, const Region& r) {
 }
 
 inline std::string ToString(const Region& r) {
-  return "[" + std::to_string(r.left) + "," + std::to_string(r.right) + "]";
+  // Appended into one string: GCC 12 warns (-Wrestrict) on a chain of
+  // operator+ inlined at -O3.
+  std::string out = "[";
+  out += std::to_string(r.left);
+  out += ',';
+  out += std::to_string(r.right);
+  out += ']';
+  return out;
 }
 
 }  // namespace regal

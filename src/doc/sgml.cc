@@ -7,6 +7,8 @@
 #include <string_view>
 #include <vector>
 
+#include "exec/thread_pool.h"
+#include "index/word_index.h"
 #include "safety/failpoint.h"
 #include "util/interner.h"
 #include "util/random.h"
@@ -14,15 +16,16 @@
 
 namespace regal {
 
-Result<Instance> ParseSgml(const std::string& source) {
-  // Tag names get dense ids; each name's regions are laid out in order of
-  // their open tags, which is document order, and the close tag fills in the
-  // right end.
-  Interner names;
-  std::vector<std::vector<Region>> sets;
+namespace {
+
+// Scans the tags of `source`. Tag names get dense ids; each name's regions
+// are laid out in order of their open tags, which is document order, and
+// the close tag fills in the right end.
+Status ScanTags(const std::string& source, Interner* names,
+                std::vector<std::vector<Region>>* sets) {
   struct OpenTag {
     int32_t name;
-    size_t slot;  // Index of the region in sets[name].
+    size_t slot;  // Index of the region in (*sets)[name].
   };
   std::vector<OpenTag> stack;
   const char* const begin = source.data();
@@ -49,19 +52,19 @@ Result<Instance> ParseSgml(const std::string& source) {
                                      std::to_string(at));
     }
     if (is_end) {
-      if (stack.empty() || names.key(stack.back().name) != name) {
+      if (stack.empty() || names->key(stack.back().name) != name) {
         return Status::InvalidArgument("mismatched close tag </" +
                                        std::string(name) + "> at offset " +
                                        std::to_string(at));
       }
       const OpenTag& top = stack.back();
-      sets[static_cast<size_t>(top.name)][top.slot].right =
+      (*sets)[static_cast<size_t>(top.name)][top.slot].right =
           static_cast<Offset>(close - begin);
       stack.pop_back();
     } else {
-      const int32_t id = names.Intern(name);
-      if (static_cast<size_t>(id) == sets.size()) sets.emplace_back();
-      std::vector<Region>& regions = sets[static_cast<size_t>(id)];
+      const int32_t id = names->Intern(name);
+      if (static_cast<size_t>(id) == sets->size()) sets->emplace_back();
+      std::vector<Region>& regions = (*sets)[static_cast<size_t>(id)];
       stack.push_back(OpenTag{id, regions.size()});
       regions.push_back(Region{at, at});
     }
@@ -69,9 +72,30 @@ Result<Instance> ParseSgml(const std::string& source) {
   }
   if (!stack.empty()) {
     return Status::InvalidArgument("unclosed tag <" +
-                                   std::string(names.key(stack.back().name)) +
+                                   std::string(names->key(stack.back().name)) +
                                    ">");
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<Instance> ParseSgml(const std::string& source) {
+  // The word index reads only the text, so the tag scan runs beside it as a
+  // pool task. This thread builds the index, the longer job, whose chunks
+  // the other lanes join as they wake; a woken worker can start
+  // milliseconds late, which the short scan absorbs (Wait() runs it here if
+  // no worker took it). The task borrows `names`, `sets` and `scanned`
+  // until Wait().
+  Interner names;
+  std::vector<std::vector<Region>> sets;
+  Status scanned;
+  exec::ThreadPool::TaskHandle scan = exec::ThreadPool::Default().Submit(
+      [&] { scanned = ScanTags(source, &names, &sets); });
+  auto text = std::make_shared<const Text>(source);
+  auto index = std::make_shared<const SuffixArrayWordIndex>(text.get());
+  scan.Wait();
+  REGAL_RETURN_NOT_OK(scanned);
   REGAL_RETURN_NOT_OK(safety::CheckFailpoint("index.build"));
   // Names are defined in sorted order, so names() and the stamps do not
   // depend on which tag came first.
@@ -86,7 +110,7 @@ Result<Instance> ParseSgml(const std::string& source) {
         std::string(names.key(id)),
         RegionSet::FromSortedUnique(std::move(sets[static_cast<size_t>(id)])));
   }
-  instance.BindText(std::make_shared<Text>(source));
+  instance.BindText(std::move(text), std::move(index));
   return instance;
 }
 

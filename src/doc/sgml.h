@@ -13,7 +13,9 @@ namespace regal {
 /// `</tag>` closes it; tags must nest properly. One region name per tag
 /// name; a region spans from the '<' of the open tag to the '>' of the
 /// close tag inclusive, so nested tags yield strictly nested regions. The
-/// result is text-backed (suffix-array word index), ready for σ_p.
+/// result is text-backed (suffix-array word index), ready for σ_p. The tags
+/// are scanned by a task on exec::ThreadPool::Default() while the calling
+/// thread builds the index.
 ///
 /// This realizes the paper's motivating setting ("documents in digital
 /// form ... markup conventions (as it is the case with SGML)").

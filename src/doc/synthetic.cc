@@ -5,6 +5,8 @@
 #include <map>
 #include <utility>
 
+#include "util/stringutil.h"
+
 namespace regal {
 
 namespace {
@@ -91,7 +93,7 @@ Instance RandomLaminarInstance(Rng& rng, const RandomInstanceOptions& options) {
   std::vector<std::string> name_pool = options.names;
   if (name_pool.empty()) {
     for (int i = 0; i < std::max(1, options.max_names); ++i) {
-      name_pool.push_back("R" + std::to_string(i));
+      name_pool.push_back(StrCat({"R", std::to_string(i)}));
     }
   }
   auto random_name = [&] { return name_pool[rng.Below(name_pool.size())]; };

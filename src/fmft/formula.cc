@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/stringutil.h"
+
 namespace regal {
 
 int RestrictedFormula::Size() const {
@@ -89,16 +91,16 @@ std::string RestrictedFormula::ToStringImpl(const std::string& var,
     case FormulaKind::kPred:
       return "Q_" + predicate_ + "(" + var + ")";
     case FormulaKind::kOr:
-      return "(" + children_[0]->ToStringImpl(var, depth) + " v " +
-             children_[1]->ToStringImpl(var, depth) + ")";
+      return StrCat({"(", children_[0]->ToStringImpl(var, depth), " v ",
+                     children_[1]->ToStringImpl(var, depth), ")"});
     case FormulaKind::kAnd:
-      return "(" + children_[0]->ToStringImpl(var, depth) + " ^ " +
-             children_[1]->ToStringImpl(var, depth) + ")";
+      return StrCat({"(", children_[0]->ToStringImpl(var, depth), " ^ ",
+                     children_[1]->ToStringImpl(var, depth), ")"});
     case FormulaKind::kAndNot:
-      return "(" + children_[0]->ToStringImpl(var, depth) + " ^ ~" +
-             children_[1]->ToStringImpl(var, depth) + ")";
+      return StrCat({"(", children_[0]->ToStringImpl(var, depth), " ^ ~",
+                     children_[1]->ToStringImpl(var, depth), ")"});
     default: {
-      std::string y = "y" + std::to_string(depth);
+      std::string y = StrCat({"y", std::to_string(depth)});
       const char* rel = "";
       bool x_first = true;
       switch (kind_) {

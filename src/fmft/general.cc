@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/stringutil.h"
+
 namespace regal {
 
 bool GeneralFormula::Holds(const FmftModel& model,
@@ -110,11 +112,11 @@ std::string GeneralFormula::ToString() const {
     case GeneralKind::kNot:
       return "~(" + children_[0]->ToString() + ")";
     case GeneralKind::kAnd:
-      return "(" + children_[0]->ToString() + " ^ " +
-             children_[1]->ToString() + ")";
+      return StrCat({"(", children_[0]->ToString(), " ^ ",
+                     children_[1]->ToString(), ")"});
     case GeneralKind::kOr:
-      return "(" + children_[0]->ToString() + " v " +
-             children_[1]->ToString() + ")";
+      return StrCat({"(", children_[0]->ToString(), " v ",
+                     children_[1]->ToString(), ")"});
     case GeneralKind::kExists:
       return "(E " + var_a_ + ")(" + children_[0]->ToString() + ")";
     case GeneralKind::kForall:

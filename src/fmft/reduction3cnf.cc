@@ -2,6 +2,7 @@
 
 #include "core/eval.h"
 #include "doc/synthetic.h"
+#include "util/stringutil.h"
 
 namespace regal {
 
@@ -9,7 +10,7 @@ namespace {
 
 std::string LiteralName(Literal lit) {
   int v = lit < 0 ? -lit : lit;
-  return (lit > 0 ? "T" : "F") + std::to_string(v);
+  return StrCat({lit > 0 ? "T" : "F", std::to_string(v)});
 }
 
 }  // namespace
@@ -18,15 +19,17 @@ CnfEmptinessReduction CnfToEmptinessExpr(const Cnf& cnf) {
   CnfEmptinessReduction out;
   out.names.push_back("A");
   for (int v = 1; v <= cnf.num_vars; ++v) {
-    out.names.push_back("T" + std::to_string(v));
-    out.names.push_back("F" + std::to_string(v));
+    out.names.push_back(StrCat({"T", std::to_string(v)}));
+    out.names.push_back(StrCat({"F", std::to_string(v)}));
   }
 
   ExprPtr a = Expr::Name("A");
   ExprPtr e = a;
   for (int v = 1; v <= cnf.num_vars; ++v) {
-    ExprPtr has_t = Expr::Including(a, Expr::Name("T" + std::to_string(v)));
-    ExprPtr has_f = Expr::Including(a, Expr::Name("F" + std::to_string(v)));
+    ExprPtr has_t =
+        Expr::Including(a, Expr::Name(StrCat({"T", std::to_string(v)})));
+    ExprPtr has_f =
+        Expr::Including(a, Expr::Name(StrCat({"F", std::to_string(v)})));
     // Exactly one value: (has_t ∪ has_f) − (has_t ∩ has_f). The shared
     // subtrees are evaluated once thanks to DAG memoization.
     ExprPtr exactly_one = Expr::Difference(Expr::Union(has_t, has_f),
@@ -54,14 +57,15 @@ Instance AssignmentToInstance(const Cnf& cnf,
   NodeSpec a{"A", {}};
   for (int v = 1; v <= cnf.num_vars; ++v) {
     a.children.push_back(NodeSpec{
-        (assignment[static_cast<size_t>(v)] ? "T" : "F") + std::to_string(v),
+        StrCat({assignment[static_cast<size_t>(v)] ? "T" : "F",
+                std::to_string(v)}),
         {}});
   }
   Instance instance = FromForest({a});
   // Define every reduction name, including the unused polarity leaves.
   for (int v = 1; v <= cnf.num_vars; ++v) {
     for (const char* polarity : {"T", "F"}) {
-      std::string name = polarity + std::to_string(v);
+      std::string name = StrCat({polarity, std::to_string(v)});
       if (!instance.Has(name)) instance.SetRegionSet(name, RegionSet());
     }
   }

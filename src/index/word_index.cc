@@ -8,6 +8,7 @@
 #include <string_view>
 #include <utility>
 
+#include "exec/thread_pool.h"
 #include "obs/counters.h"
 #include "util/interner.h"
 #include "util/stringutil.h"
@@ -57,22 +58,88 @@ void SortByLeft(std::vector<Token>* tokens, Offset limit) {
   }
 }
 
+// The text is cut into chunks of at least kMinChunkBytes, up to
+// kChunksPerLane per lane: lanes claim chunks as they come free, so a lane
+// that is busy elsewhere (ParseSgml's tag scan) or wakes late leaves its
+// share to the others. A 1-lane pool builds in one chunk. Both constants
+// come from a BM_ParseSgml sweep (EXPERIMENTS E9).
+constexpr size_t kMinChunkBytes = size_t{64} << 10;
+constexpr size_t kChunksPerLane = 4;
+
+size_t ChunkCount(size_t bytes, int lanes) {
+  if (lanes <= 1) return 1;
+  return std::clamp(bytes / kMinChunkBytes, size_t{1},
+                    static_cast<size_t>(lanes) * kChunksPerLane);
+}
+
+struct Occurrence {
+  Offset left;
+  int32_t word;  // The chunk's id of the token's word.
+};
+
+// One chunk's share of the build: its words numbered in order of first
+// occurrence, each word's token count, and its tokens in text order.
+struct Chunk {
+  Interner words;
+  std::vector<int32_t> counts;
+  std::vector<Occurrence> occurrences;
+  // By the chunk's word id: the word's global id, then the slot of the
+  // chunk's next token of it in postings_.
+  std::vector<int32_t> slots;
+};
+
 }  // namespace
 
 SuffixArrayWordIndex::SuffixArrayWordIndex(const Text* text) : text_(text) {
   const std::string_view content = text->content();
-  // One scan: each token's left offset and word id, ids in order of first
-  // occurrence.
-  struct Occurrence {
-    Offset left;
-    int32_t word;
-  };
-  std::vector<Occurrence> occurrences;
-  Interner words;
-  ForEachToken(content, [&](const Token& t) {
-    occurrences.push_back(
-        Occurrence{t.left, words.Intern(TokenText(content, t))});
+  exec::ThreadPool& pool = exec::ThreadPool::Default();
+  // Cut the text into chunks, each cut moved forward out of the token it
+  // lands in, so every token lies in one chunk and the chunks' tokens,
+  // concatenated in chunk order, are the text's. Moving forward keeps the
+  // cuts in order; cuts inside one long token all move to its end.
+  const size_t num_chunks = ChunkCount(content.size(), pool.num_threads());
+  std::vector<size_t> cuts = {0};
+  for (size_t k = 1; k < num_chunks; ++k) {
+    size_t cut = content.size() * k / num_chunks;
+    while (cut > 0 && cut < content.size() && IsIdentChar(content[cut - 1]) &&
+           IsIdentChar(content[cut])) {
+      ++cut;
+    }
+    cuts.push_back(cut);
+  }
+  cuts.push_back(content.size());
+  std::vector<Chunk> chunks(num_chunks);
+  pool.ParallelFor(num_chunks, [&](size_t k) {
+    Chunk& chunk = chunks[k];
+    const std::string_view bytes =
+        content.substr(cuts[k], cuts[k + 1] - cuts[k]);
+    // A token takes a byte and a separator: the bound is touched only as
+    // it fills.
+    chunk.occurrences.reserve(bytes.size() / 2 + 1);
+    const auto base = static_cast<Offset>(cuts[k]);
+    ForEachToken(bytes, [&](const Token& t) {
+      const int32_t word = chunk.words.Intern(TokenText(bytes, t));
+      if (static_cast<size_t>(word) == chunk.counts.size()) {
+        chunk.counts.push_back(0);
+      }
+      ++chunk.counts[static_cast<size_t>(word)];
+      chunk.occurrences.push_back(Occurrence{base + t.left, word});
+    });
   });
+  // Number the words in chunk order: each chunk numbers its own in order of
+  // first occurrence, so the ids are in order of first occurrence in the
+  // text. A chunk's slot of each word first holds the word's id.
+  Interner words;
+  std::vector<int32_t> totals;
+  for (Chunk& chunk : chunks) {
+    chunk.slots.resize(chunk.counts.size());
+    for (size_t w = 0; w < chunk.counts.size(); ++w) {
+      const int32_t id = words.Intern(chunk.words.key(static_cast<int32_t>(w)));
+      if (static_cast<size_t>(id) == totals.size()) totals.push_back(0);
+      totals[static_cast<size_t>(id)] += chunk.counts[w];
+      chunk.slots[w] = id;
+    }
+  }
   const auto num_words = static_cast<size_t>(words.size());
   std::string joined;
   word_starts_.reserve(num_words + 1);
@@ -82,19 +149,27 @@ SuffixArrayWordIndex::SuffixArrayWordIndex(const Text* text) : text_(text) {
     joined += kJoin;
   }
   word_starts_.push_back(static_cast<int32_t>(joined.size()));
-  // A counting sort of the left offsets by word; it is stable, so each
-  // posting list stays in text order.
+  // Word w's posting list holds its tokens of chunk 0, then of chunk 1, and
+  // so on: each chunk's slot of w becomes where its first token of w goes.
   offsets_.assign(num_words + 1, 0);
-  for (const Occurrence& o : occurrences) {
-    ++offsets_[static_cast<size_t>(o.word) + 1];
-  }
-  std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+  std::partial_sum(totals.begin(), totals.end(), offsets_.begin() + 1);
   std::vector<int32_t> next(offsets_.begin(), offsets_.end() - 1);
-  postings_.resize(occurrences.size());
-  for (const Occurrence& o : occurrences) {
-    postings_[static_cast<size_t>(next[static_cast<size_t>(o.word)]++)] =
-        o.left;
+  for (Chunk& chunk : chunks) {
+    for (size_t w = 0; w < chunk.slots.size(); ++w) {
+      int32_t& slot = next[static_cast<size_t>(chunk.slots[w])];
+      chunk.slots[w] = slot;
+      slot += chunk.counts[w];
+    }
   }
+  // The chunks fill disjoint slots, each in text order.
+  postings_.resize(static_cast<size_t>(offsets_.back()));
+  pool.ParallelFor(num_chunks, [&](size_t k) {
+    Chunk& chunk = chunks[k];
+    for (const Occurrence& o : chunk.occurrences) {
+      postings_[static_cast<size_t>(
+          chunk.slots[static_cast<size_t>(o.word)]++)] = o.left;
+    }
+  });
   vocabulary_ = SuffixArray(std::move(joined));
 }
 

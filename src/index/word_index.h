@@ -37,16 +37,20 @@ class WordIndex {
 };
 
 /// Word index backed by a suffix array over the vocabulary. Building it
-/// scans the text once, giving each distinct token string a word id as the
-/// token is read (an Interner, util/interner.h) and recording its left
-/// offset; a counting sort then lays the offsets out as one posting list
-/// per word, in text order. It sorts the suffixes of the lower-cased
-/// distinct words joined by a byte no token contains, so the suffix array
-/// is the size of the vocabulary, not of the text. A lookup binary-searches
-/// the lower-cased literal core of the pattern, maps the matching slots to
-/// their words, checks each such word once against the full pattern (which
-/// keeps case-sensitive patterns exact), and merges the postings of the
-/// words that match. A pattern with an empty core checks every word.
+/// cuts the text into chunks at separator bytes and, on the lanes of
+/// exec::ThreadPool::Default(), scans each chunk once, giving each distinct
+/// token string a chunk-local word id as the token is read (an Interner,
+/// util/interner.h) and recording its left offset. A merge numbers the
+/// words in order of first occurrence in the text, and the chunks then lay
+/// their offsets out as one posting list per word, in text order, so the
+/// index does not depend on the chunking. It sorts the suffixes of the
+/// lower-cased distinct words joined by a byte no token contains, so the
+/// suffix array is the size of the vocabulary, not of the text. A lookup
+/// binary-searches the lower-cased literal core of the pattern, maps the
+/// matching slots to their words, checks each such word once against the
+/// full pattern (which keeps case-sensitive patterns exact), and merges the
+/// postings of the words that match. A pattern with an empty core checks
+/// every word.
 class SuffixArrayWordIndex : public WordIndex {
  public:
   /// Builds the index. `text` must outlive the index.

@@ -12,8 +12,8 @@ std::string Cnf::ToString() const {
     for (size_t j = 0; j < clauses[i].size(); ++j) {
       if (j > 0) out += " | ";
       Literal lit = clauses[i][j];
-      if (lit < 0) out += "!";
-      out += "x" + std::to_string(lit < 0 ? -lit : lit);
+      out += lit < 0 ? "!x" : "x";
+      out += std::to_string(lit < 0 ? -lit : lit);
     }
     out += ")";
   }

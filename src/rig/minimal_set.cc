@@ -5,6 +5,7 @@
 
 #include "graph/algorithms.h"
 #include "graph/maxflow.h"
+#include "util/stringutil.h"
 
 namespace regal {
 
@@ -165,21 +166,21 @@ Result<std::vector<std::string>> MinimalSetPairwiseCuts(
 std::pair<Digraph, std::vector<std::string>> VertexCoverToMinimalSet(
     int num_vertices, const std::vector<std::pair<int, int>>& edges) {
   Digraph rig;
-  for (int v = 0; v < num_vertices; ++v) rig.AddNode("v" + std::to_string(v));
+  auto vertex = [](int v) { return StrCat({"v", std::to_string(v)}); };
+  for (int v = 0; v < num_vertices; ++v) rig.AddNode(vertex(v));
   std::vector<std::string> chain;
   for (size_t i = 0; i < edges.size(); ++i) {
-    std::string a = "A" + std::to_string(i);
-    std::string b = "B" + std::to_string(i);
+    std::string a = StrCat({"A", std::to_string(i)});
+    std::string b = StrCat({"B", std::to_string(i)});
     // The endpoints are wired in SERIES: every walk A_i ~> B_i passes
     // through both u and w, so hitting it needs u OR w in the set —
     // exactly the vertex cover constraint. (Parallel paths would demand
     // both.) Extra vertex-vertex edges from other pairs only lengthen
     // walks, which then still contain u and w. The interleaving pairs
     // (B_i, A_{i+1}) are vacuous since B_i is a sink.
-    rig.AddEdge(a, "v" + std::to_string(edges[i].first));
-    rig.AddEdge("v" + std::to_string(edges[i].first),
-                "v" + std::to_string(edges[i].second));
-    rig.AddEdge("v" + std::to_string(edges[i].second), b);
+    rig.AddEdge(a, vertex(edges[i].first));
+    rig.AddEdge(vertex(edges[i].first), vertex(edges[i].second));
+    rig.AddEdge(vertex(edges[i].second), b);
     chain.push_back(a);
     chain.push_back(b);
   }

@@ -70,8 +70,8 @@ Result<Pattern> Pattern::Parse(std::string_view spec, bool case_insensitive) {
 
 Result<Pattern> Pattern::FromCacheKey(std::string_view key) {
   if (key.size() < 2 || key[1] != ':' || (key[0] != 's' && key[0] != 'i')) {
-    return Status::InvalidArgument("'" + std::string(key) +
-                                   "' is not a pattern cache key");
+    return Status::InvalidArgument(
+        StrCat({"'", key, "' is not a pattern cache key"}));
   }
   return Parse(key.substr(2), /*case_insensitive=*/key[0] == 'i');
 }

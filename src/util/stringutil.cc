@@ -25,6 +25,15 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
+std::string StrCat(std::initializer_list<std::string_view> parts) {
+  size_t size = 0;
+  for (std::string_view part : parts) size += part.size();
+  std::string out;
+  out.reserve(size);
+  for (std::string_view part : parts) out += part;
+  return out;
+}
+
 char ToLowerAscii(char c) {
   return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
 }

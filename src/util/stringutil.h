@@ -2,6 +2,7 @@
 #define REGAL_UTIL_STRINGUTIL_H_
 
 #include <array>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -13,6 +14,11 @@ std::vector<std::string> Split(std::string_view s, char sep);
 
 /// Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
+
+/// `parts` concatenated, appended into one string. Use it where a chain of
+/// operator+ would begin with a string literal: GCC 12 inlines such a chain
+/// at -O3 into a copy it flags with a false -Wrestrict warning.
+std::string StrCat(std::initializer_list<std::string_view> parts);
 
 /// ASCII lower-casing (locale independent).
 std::string ToLowerAscii(std::string_view s);

@@ -33,6 +33,7 @@
 #include "doc/synthetic.h"
 #include "query/engine.h"
 #include "util/random.h"
+#include "util/stringutil.h"
 
 namespace regal {
 namespace {
@@ -211,7 +212,9 @@ class CacheOracle {
     universe_ = RandomLaminarInstance(rng_, options).AllRegions();
     text_size_ = 2 * options.num_regions + 8;
     Instance instance;
-    for (int i = 0; i < 4; ++i) names_.push_back("R" + std::to_string(i));
+    for (int i = 0; i < 4; ++i) {
+      names_.push_back(StrCat({"R", std::to_string(i)}));
+    }
     owner_.assign(universe_.size(), -1);
     for (size_t r = 0; r < universe_.size(); ++r) {
       if (rng_.Chance(0.85)) {
@@ -385,7 +388,7 @@ class CacheOracle {
 
   void DefineRegions() {
     const int name = static_cast<int>(names_.size());
-    names_.push_back("D" + std::to_string(name));
+    names_.push_back(StrCat({"D", std::to_string(name)}));
     for (size_t r = 0; r < universe_.size(); ++r) {
       if (owner_[r] == -1 && rng_.Chance(0.6)) owner_[r] = name;
     }
@@ -411,7 +414,7 @@ class CacheOracle {
   }
 
   void DefineView() {
-    const std::string name = "V" + std::to_string(next_view_++);
+    const std::string name = StrCat({"V", std::to_string(next_view_++)});
     Status defined, twin;
     if (rng_.Chance(0.5)) {
       const std::string starts =

@@ -26,6 +26,7 @@
 #include "safety/context.h"
 #include "safety/failpoint.h"
 #include "util/random.h"
+#include "util/stringutil.h"
 
 namespace regal {
 namespace {
@@ -336,12 +337,12 @@ TEST_F(CacheTest, BytesChargeTheResidentPayloads) {
   eval_options.cache_stats = &stats;
   static const char* kOps[] = {"|", "&", "-", "including", "within",
                                "before", "after"};
-  auto name = [&] { return "R" + std::to_string(rng.Below(4)); };
+  auto name = [&] { return StrCat({"R", std::to_string(rng.Below(4))}); };
   auto op = [&] { return std::string(kOps[rng.Below(7)]); };
   std::vector<ExprPtr> subtrees;
   for (int q = 0; q < 300; ++q) {
-    const std::string query = "(" + name() + " " + op() + " " + name() +
-                              ") " + op() + " " + name();
+    const std::string query = StrCat({"(", name(), " ", op(), " ", name(),
+                                      ") ", op(), " ", name()});
     const ExprPtr e = *ParseQuery(query);
     ASSERT_TRUE(Evaluator(&instance, eval_options).Evaluate(e).ok()) << query;
     subtrees.push_back(e);

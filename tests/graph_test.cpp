@@ -7,6 +7,7 @@
 #include "graph/digraph.h"
 #include "graph/maxflow.h"
 #include "util/random.h"
+#include "util/stringutil.h"
 
 namespace regal {
 namespace {
@@ -227,7 +228,7 @@ TEST(MinVertexCutTest, RandomGraphsCutSeparates) {
   for (int trial = 0; trial < 50; ++trial) {
     const int n = 8;
     Digraph g;
-    for (int i = 0; i < n; ++i) g.AddNode("n" + std::to_string(i));
+    for (int i = 0; i < n; ++i) g.AddNode(StrCat({"n", std::to_string(i)}));
     // Random forward edges excluding the direct s->t edge.
     for (int i = 0; i < n; ++i) {
       for (int j = i + 1; j < n; ++j) {

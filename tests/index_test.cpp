@@ -11,6 +11,7 @@
 #include "index/suffix_array.h"
 #include "index/word_index.h"
 #include "obs/counters.h"
+#include "text/tokenizer.h"
 #include "util/interner.h"
 #include "util/random.h"
 #include "util/stringutil.h"
@@ -528,9 +529,10 @@ TEST(WordIndexDifferentialTest, IndexesAgreeWithTokenScan) {
   // the word-id table doubles from its first size to 2^18 slots.
   std::string large;
   for (int i = 0; i < 120000; ++i) {
-    large += (i % 3 == 0 ? "W" : "w") + std::to_string(i);
+    large += i % 3 == 0 ? "W" : "w";
+    large += std::to_string(i);
     large += i % 7 == 0 ? "\n" : " ";
-    if (i % 5 == 0) large += "w" + std::to_string(i / 5) + ' ';
+    if (i % 5 == 0) large += StrCat({"w", std::to_string(i / 5), " "});
   }
   patterns.clear();
   for (const char* spec : {"w1", "W3", "w119999", "W119997", "w1234*", "*999",
@@ -540,13 +542,226 @@ TEST(WordIndexDifferentialTest, IndexesAgreeWithTokenScan) {
   ExpectIndexesMatchScan(large, patterns);
 }
 
+// The one-scan build the chunked build replaced, kept as the reference: one
+// Interner over the whole text gives word ids in order of first occurrence,
+// and a counting sort of the left offsets by word lays out the posting
+// lists. Its lookup is the index's, with a comparison sort at the end.
+class SequentialWordIndex : public WordIndex {
+ public:
+  explicit SequentialWordIndex(const Text* text) : text_(text) {
+    const std::string_view content = text->content();
+    struct Occurrence {
+      Offset left;
+      int32_t word;
+    };
+    std::vector<Occurrence> occurrences;
+    Interner words;
+    ForEachToken(content, [&](const Token& t) {
+      occurrences.push_back(
+          Occurrence{t.left, words.Intern(TokenText(content, t))});
+    });
+    const auto num_words = static_cast<size_t>(words.size());
+    std::string joined;
+    for (size_t w = 0; w < num_words; ++w) {
+      word_starts_.push_back(static_cast<int32_t>(joined.size()));
+      joined += ToLowerAscii(words.key(static_cast<int32_t>(w)));
+      joined += '\0';
+    }
+    word_starts_.push_back(static_cast<int32_t>(joined.size()));
+    offsets_.assign(num_words + 1, 0);
+    for (const Occurrence& o : occurrences) {
+      ++offsets_[static_cast<size_t>(o.word) + 1];
+    }
+    std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+    std::vector<int32_t> next(offsets_.begin(), offsets_.end() - 1);
+    postings_.resize(occurrences.size());
+    for (const Occurrence& o : occurrences) {
+      postings_[static_cast<size_t>(next[static_cast<size_t>(o.word)]++)] =
+          o.left;
+    }
+    vocabulary_ = SuffixArray(std::move(joined));
+  }
+
+  std::vector<Token> Matches(const Pattern& p) const override {
+    const std::string_view content(text_->content());
+    const auto num_words = static_cast<int32_t>(offsets_.size()) - 1;
+    std::vector<int32_t> candidates;
+    int64_t probes = num_words;
+    if (p.LiteralCore().empty()) {
+      candidates.resize(static_cast<size_t>(num_words));
+      std::iota(candidates.begin(), candidates.end(), 0);
+    } else {
+      const auto [lo, hi] =
+          vocabulary_.EqualRange(ToLowerAscii(p.LiteralCore()));
+      probes = hi - lo;
+      for (int32_t slot = lo; slot < hi; ++slot) {
+        const int32_t pos = vocabulary_.sa()[static_cast<size_t>(slot)];
+        candidates.push_back(static_cast<int32_t>(
+            std::upper_bound(word_starts_.begin(), word_starts_.end(), pos) -
+            word_starts_.begin() - 1));
+      }
+      std::sort(candidates.begin(), candidates.end());
+      candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                       candidates.end());
+    }
+    std::vector<Token> out;
+    for (int32_t w : candidates) {
+      const auto at = static_cast<size_t>(w);
+      const Offset length = word_starts_[at + 1] - word_starts_[at] - 1;
+      const Offset first = postings_[static_cast<size_t>(offsets_[at])];
+      if (!p.MatchesToken(content.substr(static_cast<size_t>(first),
+                                         static_cast<size_t>(length)))) {
+        continue;
+      }
+      for (int32_t i = offsets_[at]; i < offsets_[at + 1]; ++i) {
+        const Offset left = postings_[static_cast<size_t>(i)];
+        out.push_back(Token{left, left + length - 1});
+      }
+    }
+    std::sort(out.begin(), out.end(), [](const Token& a, const Token& b) {
+      return a.left < b.left;
+    });
+    if (obs::OpCounters* sink = obs::CountersSink()) {
+      sink->index_probes += probes;
+      sink->comparisons += static_cast<int64_t>(candidates.size());
+    }
+    return out;
+  }
+
+  int64_t NumTokens() const override {
+    return static_cast<int64_t>(postings_.size());
+  }
+
+ private:
+  const Text* text_;
+  std::vector<int32_t> offsets_;
+  std::vector<Offset> postings_;
+  std::vector<int32_t> word_starts_;
+  SuffixArray vocabulary_;
+};
+
+// Checks the chunked build over `content` against the sequential one: the
+// same token count, and the same tokens and counters for every distinct
+// word (exactly, in both case modes) and for prefix, infix, `?` and all-`?`
+// patterns drawn from the vocabulary.
+void ExpectSameAsSequentialBuild(const std::string& content) {
+  const Text text(content);
+  const SuffixArrayWordIndex chunked(&text);
+  const SequentialWordIndex sequential(&text);
+  const std::string what = std::to_string(content.size()) + " bytes from " +
+                           ::testing::PrintToString(content.substr(0, 40));
+  ASSERT_EQ(chunked.NumTokens(), sequential.NumTokens()) << what;
+  std::set<std::string> distinct;
+  ForEachToken(content, [&](const Token& t) {
+    distinct.emplace(TokenText(content, t));
+  });
+  std::vector<Pattern> patterns;
+  for (const char* spec : {"?", "??", "*?*", "*??????*", "a*", "*0", "*e*"}) {
+    for (bool ci : {false, true}) patterns.push_back(*Pattern::Parse(spec, ci));
+  }
+  size_t n = 0;
+  for (const std::string& word : distinct) {
+    for (bool ci : {false, true}) patterns.push_back(*Pattern::Parse(word, ci));
+    if (n++ % 97 != 0 || word.size() > 64) continue;
+    patterns.push_back(*Pattern::Parse(word.substr(0, 3) + "*", true));
+    patterns.push_back(
+        *Pattern::Parse(StrCat({"*", word.substr(word.size() / 2), "*"})));
+    patterns.push_back(
+        *Pattern::Parse(StrCat({"?", word.substr(1, 4), "*"}), n % 2 == 0));
+    patterns.push_back(*Pattern::Parse(std::string(word.size(), '?')));
+  }
+  for (const Pattern& p : patterns) {
+    obs::OpCounters want_counters;
+    obs::OpCounters* previous = obs::SwapCountersSink(&want_counters);
+    const std::vector<Token> want = sequential.Matches(p);
+    obs::OpCounters got_counters;
+    obs::SwapCountersSink(&got_counters);
+    const std::vector<Token> got = chunked.Matches(p);
+    obs::SwapCountersSink(previous);
+    ASSERT_TRUE(got == want) << p.CacheKey() << " over " << what << ": "
+                             << got.size() << " tokens, want " << want.size();
+    ASSERT_EQ(got_counters.index_probes, want_counters.index_probes)
+        << p.CacheKey() << " over " << what;
+    ASSERT_EQ(got_counters.comparisons, want_counters.comparisons)
+        << p.CacheKey() << " over " << what;
+  }
+}
+
+// The chunked build gives the sequential build's index however the text is
+// cut. The texts are large enough to make several chunks on a pool of
+// several lanes (ctest runs this binary again at REGAL_THREADS=1 and =4),
+// and the dictionary's prefixes sweep the chunk count up from one.
+TEST(WordIndexChunkingTest, SameIndexAsSequentialBuild) {
+  Rng rng(37);
+  auto random_word = [&](size_t length) {
+    std::string word;
+    for (size_t i = 0; i < length; ++i) word += "aAbBzZ09_eE"[rng.Below(11)];
+    return word;
+  };
+  // Tokens of 4,099 bytes between single spaces: nearly every cut lands
+  // inside a token and moves to its end.
+  std::vector<std::string> long_words;
+  for (int i = 0; i < 6; ++i) long_words.push_back(random_word(4099));
+  std::string inside;
+  while (inside.size() < (size_t{1} << 20)) {
+    inside += long_words[rng.Below(long_words.size())] + ' ';
+  }
+  ExpectSameAsSequentialBuild(inside);
+
+  std::vector<std::string> short_words;
+  for (int i = 0; i < 300; ++i) {
+    short_words.push_back(random_word(1 + rng.Below(8)));
+  }
+  auto prose = [&](size_t bytes) {
+    std::string out;
+    while (out.size() < bytes) {
+      out += short_words[rng.Below(short_words.size())];
+      out += " \n.,<>"[rng.Below(6)];
+    }
+    return out;
+  };
+  // A token longer than a chunk, so several cuts land in it and the chunks
+  // between them are empty.
+  ExpectSameAsSequentialBuild(prose(size_t{1} << 18) +
+                              std::string(size_t{600} << 10, 'q') +
+                              prose(size_t{1} << 18));
+  // One token, and a token at each end of the text.
+  ExpectSameAsSequentialBuild(std::string(size_t{1} << 20, 'x'));
+  ExpectSameAsSequentialBuild(random_word(size_t{300} << 10) + ' ' +
+                              prose(size_t{1} << 19) +
+                              random_word(size_t{300} << 10));
+  // Chunks holding only separators.
+  ExpectSameAsSequentialBuild(prose(size_t{1} << 18) +
+                              std::string(size_t{1} << 20, ' ') +
+                              prose(size_t{1} << 18));
+  // Words first seen in the last chunk, some of them seen again there.
+  std::string late = prose(size_t{1} << 20);
+  for (int i = 0; i < 5000; ++i) {
+    late += StrCat({"late", std::to_string(i % 3000), i % 7 == 0 ? "\n" : " "});
+  }
+  ExpectSameAsSequentialBuild(late);
+
+  // An end-to-end-benchmark-shaped dictionary (1.3 MB, the size of
+  // warm_served's and ingest_mixed's corpora), whole and cut every 256 KB.
+  DictionaryGeneratorOptions options;
+  options.entries = 2000;
+  const std::string dictionary = GenerateDictionarySource(options);
+  ASSERT_GE(dictionary.size(), size_t{1} << 20);
+  ExpectSameAsSequentialBuild(dictionary);
+  for (size_t size = 256 << 10; size < dictionary.size(); size += 256 << 10) {
+    ExpectSameAsSequentialBuild(dictionary.substr(0, size));
+  }
+}
+
 // Ids are dense, in order of first appearance, and every key reads back;
 // the table doubles as it fills.
 TEST(InternerTest, DenseIdsInOrderOfFirstAppearance) {
   Interner interner;
   EXPECT_EQ(interner.size(), 0);
   std::vector<std::string> keys;
-  for (int i = 0; i < 5000; ++i) keys.push_back("k" + std::to_string(i));
+  for (int i = 0; i < 5000; ++i) {
+    keys.push_back(StrCat({"k", std::to_string(i)}));
+  }
   keys.push_back("");
   keys.push_back(std::string("\0x", 2));
   for (size_t i = 0; i < keys.size(); ++i) {

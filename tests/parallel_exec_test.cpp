@@ -109,6 +109,41 @@ TEST(ThreadPoolTest, WaitInsideSubmittedTaskDoesNotDeadlock) {
   }
 }
 
+// ParseSgml's overlap: the submitter fans out with ParallelFor while a task
+// it Submit()ed does other work, then waits for the task; and the converse,
+// a Submit()ed task that fans out while its submitter works. Every index
+// runs once, and what each side wrote (plain stores, which TSAN checks) is
+// visible to the submitter after Wait(), whichever lane ran the task.
+TEST(ThreadPoolTest, SubmitOverlapsParallelFor) {
+  for (int n : {1, 2, 4}) {
+    ThreadPool pool(n);
+    for (int round = 0; round < 50; ++round) {
+      for (bool task_fans_out : {false, true}) {
+        std::vector<size_t> squares(64);
+        std::vector<std::atomic<int>> hits(squares.size());
+        auto fan_out = [&] {
+          pool.ParallelFor(squares.size(), [&](size_t i) {
+            hits[i].fetch_add(1);
+            squares[i] = i * i;
+          });
+        };
+        std::vector<size_t> own(1000);
+        auto work = [&] { std::iota(own.begin(), own.end(), size_t{0}); };
+        ThreadPool::TaskHandle task =
+            task_fans_out ? pool.Submit(fan_out) : pool.Submit(work);
+        task_fans_out ? work() : fan_out();
+        task.Wait();
+        EXPECT_EQ(std::accumulate(own.begin(), own.end(), size_t{0}),
+                  size_t{499500});
+        for (size_t i = 0; i < squares.size(); ++i) {
+          ASSERT_EQ(hits[i].load(), 1) << "threads=" << n << " i=" << i;
+          ASSERT_EQ(squares[i], i * i) << "threads=" << n << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Operator kernels: parallel == sequential, bit for bit.
 

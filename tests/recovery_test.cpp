@@ -47,6 +47,7 @@
 #include "storage/snapshot.h"
 #include "text/text.h"
 #include "util/random.h"
+#include "util/stringutil.h"
 
 namespace regal {
 namespace recovery {
@@ -123,15 +124,15 @@ std::string RandomText(Rng* rng) {
 Mutation RandomMutation(Rng* rng, const Instance& oracle) {
   switch (rng->Below(4)) {
     case 0: {
-      std::string name = "r" + std::to_string(rng->Below(6));
+      std::string name = StrCat({"r", std::to_string(rng->Below(6))});
       if (!oracle.Has(name)) {
         return Mutation::DefineRegions(name, RandomRegions(rng));
       }
       return Mutation::ReplaceRegions(name, RandomRegions(rng));
     }
     case 1:
-      return Mutation::ReplaceRegions("r" + std::to_string(rng->Below(6)),
-                                      RandomRegions(rng));
+      return Mutation::ReplaceRegions(
+          StrCat({"r", std::to_string(rng->Below(6))}), RandomRegions(rng));
     case 2:
       return Mutation::BindText(RandomText(rng));
     default: {
@@ -769,7 +770,7 @@ TEST(RecoveryEngineTest, AutoCheckpointTriggersOnThreshold) {
   ASSERT_TRUE(engine.ok());
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(engine
-                    ->ReplaceRegions("r" + std::to_string(i),
+                    ->ReplaceRegions(StrCat({"r", std::to_string(i)}),
                                      RegionSet{Region{i * 10, i * 10 + 5}})
                     .ok());
   }

@@ -9,6 +9,7 @@
 #include "rig/minimal_set.h"
 #include "rig/rig.h"
 #include "util/random.h"
+#include "util/stringutil.h"
 
 namespace regal {
 namespace {
@@ -175,7 +176,7 @@ TEST(MinimalSetTest, SingleOpMatchesExact) {
   for (int trial = 0; trial < 30; ++trial) {
     const int n = 7;
     Digraph rig;
-    for (int i = 0; i < n; ++i) rig.AddNode("n" + std::to_string(i));
+    for (int i = 0; i < n; ++i) rig.AddNode(StrCat({"n", std::to_string(i)}));
     for (int i = 0; i < n; ++i) {
       for (int j = 0; j < n; ++j) {
         if (i != j && rng.Chance(0.3)) {
@@ -210,7 +211,7 @@ TEST(MinimalSetTest, PairwiseCutsAreValid) {
   for (int trial = 0; trial < 20; ++trial) {
     const int n = 8;
     Digraph rig;
-    for (int i = 0; i < n; ++i) rig.AddNode("n" + std::to_string(i));
+    for (int i = 0; i < n; ++i) rig.AddNode(StrCat({"n", std::to_string(i)}));
     for (int i = 0; i < n; ++i) {
       for (int j = 0; j < n; ++j) {
         if (i != j && rng.Chance(0.25)) {

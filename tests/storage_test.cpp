@@ -15,6 +15,7 @@
 #include "storage/snapshot.h"
 #include "text/text.h"
 #include "util/random.h"
+#include "util/stringutil.h"
 
 namespace regal {
 namespace {
@@ -224,7 +225,7 @@ TEST(StorageTest, RandomInstancesRoundTripBitIdentically) {
         regions.push_back(Region{left, right});
       }
       ASSERT_TRUE(instance
-                      .AddRegionSet("n" + std::to_string(n),
+                      .AddRegionSet(StrCat({"n", std::to_string(n)}),
                                     RegionSet::FromUnsorted(std::move(regions)))
                       .ok());
     }
