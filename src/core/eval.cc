@@ -136,14 +136,17 @@ Result<RegionSet> Evaluator::Eval(const ExprPtr& e) {
                          !options_.use_naive && e->kind() != OpKind::kName;
   cache::ResultCache::Key cache_key;
   ExprPtr canonical;
+  // This node's cache activity, added to the query's under mu_: sibling
+  // subtrees may probe and publish on different threads.
+  cache::CacheQueryStats node_cache;
   if (cacheable) {
     {
       std::lock_guard<std::mutex> lock(key_mu_);
       canonical = keyer_->Canonical(e);
       cache_key = keyer_->Key(e);
     }
-    std::optional<RegionSet> hit = options_.result_cache->Lookup(
-        cache_key, canonical, options_.cache_stats);
+    std::optional<RegionSet> hit =
+        options_.result_cache->Lookup(cache_key, canonical, &node_cache);
     if (hit.has_value()) {
       // Seed the memo so every further mention short-circuits, and charge
       // the set against the budget — it is part of this query's live
@@ -163,6 +166,9 @@ Result<RegionSet> Evaluator::Eval(const ExprPtr& e) {
           entry.status = seeded.status();
         }
         entry.ready = true;
+        if (options_.cache_stats != nullptr) {
+          options_.cache_stats->Add(node_cache);
+        }
       }
       memo_cv_.notify_all();
       if (seeded.ok()) {
@@ -205,9 +211,26 @@ Result<RegionSet> Evaluator::Eval(const ExprPtr& e) {
     if (cacheable && (options_.context == nullptr ||
                       !options_.context->ShouldAbort())) {
       options_.result_cache->Insert(cache_key, canonical, result.value(),
-                                    options_.cache_stats);
+                                    &node_cache);
     }
   }
+  if (cacheable && options_.cache_stats != nullptr) {
+    std::lock_guard<std::mutex> lock(mu_);
+    options_.cache_stats->Add(node_cache);
+  }
+  return result;
+}
+
+RegionSet Evaluator::ShareOperand(RegionSet result, const RegionSet& first,
+                                  const RegionSet* second) const {
+  // A tripped context may have truncated a partitioned kernel's result, so
+  // its size proves nothing. The naive oracle keeps its fresh payloads.
+  if (options_.use_naive ||
+      (options_.context != nullptr && options_.context->ShouldAbort())) {
+    return result;
+  }
+  if (result.size() == first.size()) return first;
+  if (second != nullptr && result.size() == second->size()) return *second;
   return result;
 }
 
@@ -288,10 +311,12 @@ Result<RegionSet> Evaluator::EvalNode(const ExprPtr& e, int64_t* rows_in) {
         REGAL_RETURN_NOT_OK(safety::CheckFailpoint("exec.kernel.fault"));
         exec::ParallelConfig cfg{pp->pool, pp->min_rows, 0, options_.context,
                                  options_.kernel_fallbacks};
-        return exec::ParallelSelectByTokens(
-            child, instance_->word_index()->Matches(e->pattern()), cfg);
+        return ShareOperand(
+            exec::ParallelSelectByTokens(
+                child, instance_->word_index()->Matches(e->pattern()), cfg),
+            child);
       }
-      return instance_->Select(child, e->pattern());
+      return ShareOperand(instance_->Select(child, e->pattern()), child);
     }
     case OpKind::kBothIncluded: {
       REGAL_ASSIGN_OR_RETURN(RegionSet r, Eval(e->child(0)));
@@ -303,8 +328,9 @@ Result<RegionSet> Evaluator::EvalNode(const ExprPtr& e, int64_t* rows_in) {
         ++stats_.operator_evals;
         stats_.rows_scanned += *rows_in;
       }
-      return options_.use_naive ? naive::BothIncluded(r, s, t)
-                                : BothIncluded(r, s, t);
+      return ShareOperand(options_.use_naive ? naive::BothIncluded(r, s, t)
+                                             : BothIncluded(r, s, t),
+                          r);
     }
     default: {
       RegionSet a, b;
@@ -323,44 +349,57 @@ Result<RegionSet> Evaluator::EvalNode(const ExprPtr& e, int64_t* rows_in) {
         cfg = exec::ParallelConfig{pp->pool, pp->min_rows, 0, options_.context,
                                    options_.kernel_fallbacks};
       }
+      RegionSet out;
       switch (e->kind()) {
         case OpKind::kUnion:
-          return naive_mode ? naive::Union(a, b)
-                 : pp != nullptr ? exec::ParallelUnion(a, b, cfg)
-                                 : Union(a, b);
+          out = naive_mode ? naive::Union(a, b)
+                : pp != nullptr ? exec::ParallelUnion(a, b, cfg)
+                                : Union(a, b);
+          break;
         case OpKind::kIntersect:
-          return naive_mode ? naive::Intersect(a, b)
-                 : pp != nullptr ? exec::ParallelIntersect(a, b, cfg)
-                                 : Intersect(a, b);
+          out = naive_mode ? naive::Intersect(a, b)
+                : pp != nullptr ? exec::ParallelIntersect(a, b, cfg)
+                                : Intersect(a, b);
+          break;
         case OpKind::kDifference:
-          return naive_mode ? naive::Difference(a, b)
-                 : pp != nullptr ? exec::ParallelDifference(a, b, cfg)
-                                 : Difference(a, b);
+          out = naive_mode ? naive::Difference(a, b)
+                : pp != nullptr ? exec::ParallelDifference(a, b, cfg)
+                                : Difference(a, b);
+          break;
         case OpKind::kIncluding:
-          return naive_mode ? naive::Including(a, b)
-                 : pp != nullptr ? exec::ParallelIncluding(a, b, cfg)
-                                 : Including(a, b);
+          out = naive_mode ? naive::Including(a, b)
+                : pp != nullptr ? exec::ParallelIncluding(a, b, cfg)
+                                : Including(a, b);
+          break;
         case OpKind::kIncluded:
-          return naive_mode ? naive::Included(a, b)
-                 : pp != nullptr ? exec::ParallelIncluded(a, b, cfg)
-                                 : Included(a, b);
+          out = naive_mode ? naive::Included(a, b)
+                : pp != nullptr ? exec::ParallelIncluded(a, b, cfg)
+                                : Included(a, b);
+          break;
         case OpKind::kPrecedes:
-          return naive_mode ? naive::Precedes(a, b)
-                 : pp != nullptr ? exec::ParallelPrecedes(a, b, cfg)
-                                 : Precedes(a, b);
+          out = naive_mode ? naive::Precedes(a, b)
+                : pp != nullptr ? exec::ParallelPrecedes(a, b, cfg)
+                                : Precedes(a, b);
+          break;
         case OpKind::kFollows:
-          return naive_mode ? naive::Follows(a, b)
-                 : pp != nullptr ? exec::ParallelFollows(a, b, cfg)
-                                 : Follows(a, b);
+          out = naive_mode ? naive::Follows(a, b)
+                : pp != nullptr ? exec::ParallelFollows(a, b, cfg)
+                                : Follows(a, b);
+          break;
         case OpKind::kDirectIncluding:
-          return naive_mode ? naive::DirectIncluding(*instance_, a, b)
-                            : DirectIncluding(*instance_, a, b);
+          out = naive_mode ? naive::DirectIncluding(*instance_, a, b)
+                           : DirectIncluding(*instance_, a, b);
+          break;
         case OpKind::kDirectIncluded:
-          return naive_mode ? naive::DirectIncluded(*instance_, a, b)
-                            : DirectIncluded(*instance_, a, b);
+          out = naive_mode ? naive::DirectIncluded(*instance_, a, b)
+                           : DirectIncluded(*instance_, a, b);
+          break;
         default:
           return Status::Internal("unexpected operator kind in Eval");
       }
+      const bool both = e->kind() == OpKind::kUnion ||
+                        e->kind() == OpKind::kIntersect;
+      return ShareOperand(std::move(out), a, both ? &b : nullptr);
     }
   }
 }

@@ -81,7 +81,8 @@ struct EvalOptions {
   /// against `context` exactly like computed ones.
   cache::ResultCache* result_cache = nullptr;
   /// Per-query cache activity for the `explain analyze` cache envelope;
-  /// nullptr means untracked.
+  /// nullptr means untracked. The evaluator writes it under its own lock,
+  /// so parallel subtrees may share it.
   cache::CacheQueryStats* cache_stats = nullptr;
 };
 
@@ -137,7 +138,9 @@ struct EvalStats {
 /// bounded expansions of Props 5.2/5.4 rely on this. A RegionSet is a
 /// handle to a shared payload, so the memo, a name scan of an instance set,
 /// a cache hit and the returned answer all share regions instead of copying
-/// them.
+/// them. Off the naive path, an operator whose result has an operand's size
+/// returns that operand's handle (ShareOperand), so a result equal to its
+/// operand is never a second payload.
 class Evaluator {
  public:
   explicit Evaluator(const Instance* instance, EvalOptions options = {})
@@ -161,6 +164,13 @@ class Evaluator {
   /// Evaluates both children of a binary node, concurrently when the policy
   /// allows it.
   Status EvalChildren(const ExprPtr& e, RegionSet* a, RegionSet* b);
+  /// `result` of an operator whose result is a subset of `first` (−, ⊃, ⊂,
+  /// <, >, σ, ⊃_d, ⊂_d, BI), of both operands (∩, with `second`), or a
+  /// superset of both (∪, with `second`): equal sizes then mean equal sets,
+  /// so this returns the operand's handle, and the memo, the cache and the
+  /// answer pin its payload instead of a copy.
+  RegionSet ShareOperand(RegionSet result, const RegionSet& first,
+                         const RegionSet* second = nullptr) const;
   bool SubtreeParallelismEnabled() const;
 
   /// One memo slot per expression node. `ready` flips under mu_ once the
@@ -174,8 +184,8 @@ class Evaluator {
   const Instance* instance_;
   EvalOptions options_;
   EvalStats stats_;
-  // Guards memo_, stats_ and memo_cv_ — uncontended (one lock per node) in
-  // sequential evaluation.
+  // Guards memo_, stats_, memo_cv_ and *options_.cache_stats — uncontended
+  // (one lock per node) in sequential evaluation.
   std::mutex mu_;
   std::condition_variable memo_cv_;
   std::unordered_map<const Expr*, MemoEntry> memo_;

@@ -57,7 +57,13 @@ const std::map<std::string, std::string>& BuiltinHelp() {
       {"regal_cache_bytes",
        "Bytes the result cache charges its budget for its resident entries: "
        "each entry's allocated region payload (capacity x 8 bytes) plus a "
-       "fixed 256-byte estimate for its key, expression and bookkeeping."},
+       "fixed 256-byte estimate for its key, expression and bookkeeping. A "
+       "payload several entries share is charged to each of them, so this "
+       "is an upper bound on the memory the cache pins."},
+      {"regal_cache_payload_bytes",
+       "Distinct region-payload bytes (capacity x 8 bytes) the result "
+       "cache's entries hold, each payload counted once however many "
+       "entries share it."},
       {"regal_cache_hit_ratio",
        "Lifetime hits / (hits + misses) of the result cache."},
       {"regal_safety_queries_admitted_total",

@@ -703,6 +703,8 @@ void QueryEngine::RegisterStatusSections(admin::AdminServer* server,
     admin::StatusRows rows;
     rows.emplace_back("enabled", result_cache_enabled_ ? "true" : "false");
     rows.emplace_back("bytes", std::to_string(result_cache_->bytes()));
+    rows.emplace_back("payload_bytes",
+                      std::to_string(result_cache_->payload_bytes()));
     rows.emplace_back("entries", std::to_string(result_cache_->entries()));
     rows.emplace_back("max_bytes", std::to_string(result_cache_->max_bytes()));
     return rows;

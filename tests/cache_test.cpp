@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <set>
@@ -372,6 +373,173 @@ TEST_F(CacheTest, BytesChargeTheResidentPayloads) {
 }
 
 // ---------------------------------------------------------------------------
+// Payload sharing: entries with equal results hold one payload
+// ---------------------------------------------------------------------------
+
+// A distinct canonical form per `i`, all over the same names.
+ExprPtr Form(int i) {
+  ExprPtr e = Expr::Name("a");
+  for (int bit = 0; bit < 8; ++bit) {
+    const std::string n = std::to_string(bit);
+    e = (i >> bit) & 1 ? Expr::Union(e, Expr::Name("b" + n))
+                       : Expr::Intersect(e, Expr::Name("c" + n));
+  }
+  return Expr::Canonicalize(e);
+}
+
+// `n` regions, each made fresh: equal calls give equal sets in distinct
+// payloads.
+RegionSet Fresh(int n, Offset shift = 0) {
+  std::vector<Region> regions;
+  for (Offset i = 0; i < n; ++i) regions.push_back(Region{4 * i, 4 * i + 2});
+  if (shift != 0) regions.back().right += shift;
+  return RegionSet::FromSortedUnique(std::move(regions));
+}
+
+int64_t PayloadOf(const RegionSet& set) {
+  return static_cast<int64_t>(set.regions().capacity() * sizeof(Region));
+}
+
+TEST_F(CacheTest, EqualResultsUnderTwoFormsPinOnePayload) {
+  ResultCache cache;
+  const RegionSet first = Fresh(100);
+  const RegionSet second = Fresh(100);
+  ASSERT_NE(first.regions().data(), second.regions().data());
+  ASSERT_TRUE(cache.Insert(KeyFor(Form(1)), Form(1), first));
+  ASSERT_TRUE(cache.Insert(KeyFor(Form(2)), Form(2), second));
+  // Both entries hand out the first payload; the budget charges it twice.
+  EXPECT_EQ(Payload(cache.Lookup(KeyFor(Form(1)), Form(1))),
+            first.regions().data());
+  EXPECT_EQ(Payload(cache.Lookup(KeyFor(Form(2)), Form(2))),
+            first.regions().data());
+  EXPECT_EQ(cache.payload_bytes(), PayloadOf(first));
+  EXPECT_EQ(cache.bytes(), 2 * ResultCache::EntryBytes(first));
+  // An entry that already shares the payload (an operand's, say) is matched
+  // by pointer.
+  ASSERT_TRUE(cache.Insert(KeyFor(Form(3)), Form(3), first));
+  EXPECT_EQ(cache.payload_bytes(), PayloadOf(first));
+  EXPECT_EQ(cache.bytes(), 3 * ResultCache::EntryBytes(first));
+  // Empty results hold no payload.
+  ASSERT_TRUE(cache.Insert(KeyFor(Form(4)), Form(4), RegionSet()));
+  EXPECT_EQ(cache.payload_bytes(), PayloadOf(first));
+  EXPECT_EQ(obs::Registry::Default()
+                .GetGauge("regal_cache_payload_bytes")
+                ->value(),
+            static_cast<double>(PayloadOf(first)));
+}
+
+TEST_F(CacheTest, DroppingOneSharerKeepsTheOtherValid) {
+  const RegionSet value = Fresh(50);
+  const std::vector<Region> contents = value.regions();
+  const RegionSet other = Fresh(7, /*shift=*/1);
+  // Eviction: one shard holding exactly two entries of this size.
+  ResultCacheOptions options;
+  options.shards = 1;
+  options.max_bytes = 2 * ResultCache::EntryBytes(value);
+  ResultCache small(options);
+  ASSERT_TRUE(small.Insert(KeyFor(Form(1)), Form(1), value));
+  ASSERT_TRUE(small.Insert(KeyFor(Form(2)), Form(2), Fresh(50)));
+  ASSERT_TRUE(small.Lookup(KeyFor(Form(2)), Form(2)).has_value());
+  CacheQueryStats stats;
+  ASSERT_TRUE(small.Insert(KeyFor(Form(3)), Form(3), other, &stats));
+  EXPECT_EQ(stats.evictions, 1);
+  EXPECT_FALSE(small.Lookup(KeyFor(Form(1)), Form(1)).has_value());
+  std::optional<RegionSet> kept = small.Lookup(KeyFor(Form(2)), Form(2));
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_EQ(kept->regions(), contents);
+  EXPECT_EQ(small.payload_bytes(), PayloadOf(value) + PayloadOf(other));
+
+  // Supersession: a newer stamp for one sharer leaves the other's answer.
+  ResultCache cache;
+  ASSERT_TRUE(cache.Insert(KeyFor(Form(1), 1, 3), Form(1), value));
+  ASSERT_TRUE(cache.Insert(KeyFor(Form(2), 1, 3), Form(2), Fresh(50)));
+  ASSERT_TRUE(cache.Insert(KeyFor(Form(1), 1, 4), Form(1), other));
+  kept = cache.Lookup(KeyFor(Form(2), 1, 3), Form(2));
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_EQ(kept->regions(), contents);
+  EXPECT_EQ(cache.payload_bytes(), PayloadOf(value) + PayloadOf(other));
+  // The last sharer's supersession frees the slot.
+  ASSERT_TRUE(cache.Insert(KeyFor(Form(2), 1, 4), Form(2), other));
+  EXPECT_EQ(cache.payload_bytes(), PayloadOf(other));
+
+  // Clearing: an answer taken before Clear stays whole.
+  ASSERT_TRUE(cache.Insert(KeyFor(Form(5)), Form(5), value));
+  ASSERT_TRUE(cache.Insert(KeyFor(Form(6)), Form(6), Fresh(50)));
+  const std::optional<RegionSet> held = cache.Lookup(KeyFor(Form(6)), Form(6));
+  ASSERT_TRUE(held.has_value());
+  cache.Clear();
+  EXPECT_EQ(held->regions(), contents);
+  EXPECT_EQ(cache.payload_bytes(), 0);
+  EXPECT_EQ(cache.bytes(), 0);
+}
+
+// Sets of other sizes, and sets that differ from one another in a single
+// region (at every index, so at most the few the key samples can tell them
+// apart by key), keep payloads of their own.
+TEST_F(CacheTest, UnequalResultsAreNotMerged) {
+  ResultCache cache;
+  constexpr int kSize = 40;
+  std::vector<RegionSet> values;
+  values.push_back(Fresh(kSize));
+  values.push_back(Fresh(kSize - 1));
+  values.push_back(Fresh(kSize + 1));
+  for (int i = 0; i < kSize; ++i) {
+    std::vector<Region> regions = Fresh(kSize).regions();
+    regions[static_cast<size_t>(i)].right += 1;  // Still in document order.
+    values.push_back(RegionSet::FromSortedUnique(std::move(regions)));
+  }
+  int64_t total = 0;
+  for (size_t i = 0; i < values.size(); ++i) {
+    const ExprPtr e = Form(static_cast<int>(i));
+    ASSERT_TRUE(cache.Insert(KeyFor(e), e, values[i])) << i;
+    total += PayloadOf(values[i]);
+  }
+  EXPECT_EQ(cache.payload_bytes(), total);
+  for (size_t i = 0; i < values.size(); ++i) {
+    const ExprPtr e = Form(static_cast<int>(i));
+    EXPECT_EQ(Payload(cache.Lookup(KeyFor(e), e)), values[i].regions().data())
+        << i;
+  }
+}
+
+// Eight threads publish equal results under distinct forms, each from its
+// own payload, while they read each other's entries: every entry ends up on
+// one payload, and every answer stays whole. Runs under TSAN with the label.
+TEST_F(CacheTest, ConcurrentEqualInsertsShareOnePayload) {
+  ResultCache cache;
+  constexpr int kThreads = 8;
+  constexpr int kFormsPerThread = 24;
+  const std::vector<Region> contents = Fresh(64).regions();
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kFormsPerThread; ++i) {
+        const ExprPtr e = Form(t * kFormsPerThread + i);
+        if (!cache.Insert(KeyFor(e), e, Fresh(64))) ++mismatches;
+        const ExprPtr peer = Form(((t + 1) % kThreads) * kFormsPerThread + i);
+        std::optional<RegionSet> hit = cache.Lookup(KeyFor(peer), peer);
+        if (hit.has_value() && hit->regions() != contents) ++mismatches;
+        (void)cache.bytes();
+        (void)cache.payload_bytes();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(cache.entries(), kThreads * kFormsPerThread);
+  EXPECT_EQ(cache.payload_bytes(), PayloadOf(Fresh(64)));
+  EXPECT_EQ(cache.bytes(),
+            kThreads * kFormsPerThread * ResultCache::EntryBytes(Fresh(64)));
+  const Region* shared = Payload(cache.Lookup(KeyFor(Form(0)), Form(0)));
+  for (int i = 0; i < kThreads * kFormsPerThread; ++i) {
+    EXPECT_EQ(Payload(cache.Lookup(KeyFor(Form(i)), Form(i))), shared) << i;
+  }
+  cache.Clear();
+  EXPECT_EQ(cache.payload_bytes(), 0);
+}
+
+// ---------------------------------------------------------------------------
 // Evaluator integration: seeding, publication, stamp invalidation
 // ---------------------------------------------------------------------------
 
@@ -713,6 +881,27 @@ TEST_F(CacheTest, ReloadSnapshotClearsTheResultCache) {
   ASSERT_TRUE(after->profile.has_value());
   EXPECT_EQ(after->profile->cache.hits, 0);
   EXPECT_GT(after->profile->cache.inserts, 0);
+}
+
+TEST_F(CacheTest, PayloadBytesReturnToZeroAfterClearAndReload) {
+  auto engine = DictionaryEngine();
+  ASSERT_TRUE(engine.ok());
+  const std::string path = testing::TempDir() + "/cache_payload.regal2";
+  ASSERT_TRUE(engine->SaveSnapshot(path).ok());
+  for (const char* query :
+       {"sense within entry", "entry including sense", "(sense | entry)"}) {
+    ASSERT_TRUE(engine->Run(query).ok()) << query;
+  }
+  ResultCache& cache = engine->result_cache();
+  EXPECT_GT(cache.payload_bytes(), 0);
+  EXPECT_LE(cache.payload_bytes(), cache.bytes());
+  cache.Clear();
+  EXPECT_EQ(cache.payload_bytes(), 0);
+  ASSERT_TRUE(engine->Run("sense within entry").ok());
+  EXPECT_GT(cache.payload_bytes(), 0);
+  ASSERT_TRUE(engine->ReloadSnapshot(path).ok());
+  EXPECT_EQ(cache.payload_bytes(), 0);
+  EXPECT_EQ(cache.bytes(), 0);
 }
 
 // ---------------------------------------------------------------------------

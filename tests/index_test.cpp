@@ -44,6 +44,59 @@ std::vector<int32_t> NaiveSuffixArray(const std::string& text) {
   return sa;
 }
 
+// An independent O(n log n) oracle: Manber and Myers' prefix doubling.
+// After the round for k, `rank` orders the suffixes by their first 2k bytes
+// (a shorter suffix first when it is a prefix), found by a stable counting
+// sort on (rank[i], rank[i + k]) with a missing second half lowest.
+std::vector<int32_t> PrefixDoublingSuffixArray(const std::string& text) {
+  const size_t n = text.size();
+  std::vector<int32_t> sa(n), rank(n), next(n), by_second(n);
+  std::vector<size_t> count(std::max<size_t>(256, n) + 1);
+  auto counting_sort = [&](const std::vector<int32_t>& order) {
+    // Stable: sa = `order` sorted by rank.
+    std::fill(count.begin(), count.end(), 0);
+    for (size_t i = 0; i < n; ++i) ++count[static_cast<size_t>(rank[i]) + 1];
+    for (size_t r = 1; r < count.size(); ++r) count[r] += count[r - 1];
+    for (int32_t i : order) sa[count[static_cast<size_t>(rank[i])]++] = i;
+  };
+  std::vector<int32_t> identity(n);
+  std::iota(identity.begin(), identity.end(), 0);
+  for (size_t i = 0; i < n; ++i) rank[i] = static_cast<unsigned char>(text[i]);
+  counting_sort(identity);
+  for (size_t k = 1; n > 0; k *= 2) {
+    auto second = [&](int32_t i) {
+      return static_cast<size_t>(i) + k < n ? rank[static_cast<size_t>(i) + k]
+                                            : -1;
+    };
+    // Suffixes by their second half: those without one first, then the
+    // rest in the order of the suffix k bytes later.
+    size_t filled = 0;
+    for (size_t i = n - std::min(n, k); i < n; ++i) {
+      by_second[filled++] = static_cast<int32_t>(i);
+    }
+    for (int32_t i : sa) {
+      if (static_cast<size_t>(i) >= k) {
+        by_second[filled++] = i - static_cast<int32_t>(k);
+      }
+    }
+    counting_sort(by_second);
+    next[static_cast<size_t>(sa[0])] = 0;
+    for (size_t j = 1; j < n; ++j) {
+      const int32_t a = sa[j - 1];
+      const int32_t b = sa[j];
+      next[static_cast<size_t>(b)] =
+          next[static_cast<size_t>(a)] +
+          (rank[static_cast<size_t>(a)] != rank[static_cast<size_t>(b)] ||
+           second(a) != second(b));
+    }
+    rank.swap(next);
+    if (static_cast<size_t>(rank[static_cast<size_t>(sa[n - 1])]) == n - 1) {
+      break;
+    }
+  }
+  return sa;
+}
+
 std::string RandomBytes(Rng* rng, size_t length, int alphabet) {
   std::string text(length, '\0');
   for (char& c : text) {
@@ -90,9 +143,11 @@ std::string ThueMorseWord(size_t length) {
   return word;
 }
 
-// sa() equals the naive sort of all suffixes for every text up to length 10
-// over {a, b}, seeded random texts, adversarial ones, and texts that drive
-// SA-IS's recursion deep.
+// sa() equals the sorted suffixes for every text up to length 10 over
+// {a, b}, seeded random texts, adversarial ones, and texts that drive SA-IS's
+// recursion deep. The prefix-doubling oracle is checked against the naive
+// sort on every text of 300 bytes or less, and stands in for it on the
+// larger ones, whose naive sort is slow under the sanitizers.
 TEST(SuffixArrayTest, SortedProperty) {
   std::vector<std::string> texts = {"mississippi", "abracadabra"};
   for (int length = 0; length <= 10; ++length) {
@@ -131,7 +186,13 @@ TEST(SuffixArrayTest, SortedProperty) {
   texts.push_back(Repeat(all_bytes, 4));
 
   for (const std::string& text : texts) {
-    EXPECT_EQ(SuffixArray(text).sa(), NaiveSuffixArray(text))
+    const std::vector<int32_t> oracle = PrefixDoublingSuffixArray(text);
+    if (text.size() <= 300) {
+      EXPECT_EQ(oracle, NaiveSuffixArray(text))
+          << "prefix doubling on "
+          << ::testing::PrintToString(text.substr(0, 40));
+    }
+    EXPECT_EQ(SuffixArray(text).sa(), oracle)
         << ::testing::PrintToString(text.substr(0, 40)) << " ("
         << text.size() << " bytes)";
   }
